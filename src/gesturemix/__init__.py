@@ -4,7 +4,6 @@ from .classify import (
     ClassificationResult,
     ClusterLabelMap,
     build_label_map,
-    classify_row,
     classify_video,
     record_header,
     result_record,
@@ -14,11 +13,9 @@ from .errors import DataError, GestureMixError, ModelFormatError, NumericalError
 from .gmm import (
     EmConfig,
     EmTrace,
-    GaussianComponent,
     MixtureParams,
     e_step,
     fit,
-    gaussian_pdf,
     initialize,
     log_likelihood,
     m_step,
@@ -30,7 +27,6 @@ from .landmarks import (
     apply_normalization,
     compute_variances,
     fit_normalization,
-    invert_normalization,
 )
 from .metrics import SilhouetteReport, silhouette
 from .synth import GestureProfile, default_profiles, generate_dataset, generate_video
@@ -44,7 +40,6 @@ __all__ = [
     "EmConfig",
     "EmTrace",
     "FeatureMatrix",
-    "GaussianComponent",
     "GestureMixError",
     "GestureProfile",
     "GestureVideo",
@@ -55,18 +50,15 @@ __all__ = [
     "SilhouetteReport",
     "apply_normalization",
     "build_label_map",
-    "classify_row",
     "classify_video",
     "compute_variances",
     "default_profiles",
     "e_step",
     "fit",
     "fit_normalization",
-    "gaussian_pdf",
     "generate_dataset",
     "generate_video",
     "initialize",
-    "invert_normalization",
     "log_likelihood",
     "m_step",
     "record_header",

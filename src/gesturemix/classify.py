@@ -67,13 +67,6 @@ def vote(posteriors) -> tuple[int, float]:
     return idx, float(p[idx])
 
 
-def classify_row(row, params: MixtureParams) -> tuple[int, float]:
-    """Component with maximum responsibility for a single normalized feature row."""
-    r = np.asarray(row, dtype=np.float64)
-    resp = e_step(r[None, :], params)
-    return vote(resp[0])
-
-
 def build_label_map(
     train_features: Sequence[FeatureMatrix], params: MixtureParams
 ) -> ClusterLabelMap:

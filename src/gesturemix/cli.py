@@ -129,7 +129,6 @@ def cmd_train(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     model = ModelFile(
-        k=k,
         covariance_mode=args.cov_mode,
         params=params,
         stats=stats,
@@ -160,9 +159,8 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     model = load_model(args.model)
-    features, total_frames = _ingest_features(Path(args.input))
-
     start = time.perf_counter()
+    features, total_frames = _ingest_features(Path(args.input))
     results = [
         classify_video(f, model.params, model.label_map, model.stats) for f in features
     ]

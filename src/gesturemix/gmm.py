@@ -4,7 +4,8 @@ Data points are the 3-dimensional variance feature rows. All density work is
 done in log space: per-component log densities come from a Cholesky
 factorization of the covariance, and posteriors/log-likelihoods use
 log-sum-exp, so the tiny densities typical of variance features never
-underflow.
+underflow. The K components are stored as stacked arrays and every step works
+on all of them at once.
 
 The E-step computes responsibilities
 
@@ -21,11 +22,8 @@ L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k).
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .errors import DataError, NumericalError
 
@@ -38,73 +36,62 @@ _MAX_RESEEDS = 3
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """One mixture component: mean, covariance, and its cached factorization."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
-    log_det: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=np.float64)
-        cov = np.array(self.cov, dtype=np.float64)
-        d = mean.shape[0]
-        if mean.ndim != 1 or cov.shape != (d, d):
-            raise DataError(f"mean/covariance shapes do not match: {mean.shape} vs {cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise DataError("non-finite component parameters")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise NumericalError("covariance is not symmetric within 1e-12")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"covariance is not positive-definite: {exc}") from exc
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        chol.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)
-        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(chol)))))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
 class MixtureParams:
-    """K Gaussian components plus their mixing weights (weights sum to 1)."""
+    """K Gaussian components: means (K, d), covariances (K, d, d) and mixing
+    weights (K,) that sum to 1, plus the cached Cholesky factors."""
 
-    components: tuple[GaussianComponent, ...]
+    means: np.ndarray
+    covs: np.ndarray
     weights: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
+    log_dets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        components = tuple(self.components)
+        means = np.array(self.means, dtype=np.float64)
+        covs = np.array(self.covs, dtype=np.float64)
         weights = np.array(self.weights, dtype=np.float64)
-        if len(components) < 1:
-            raise DataError("a mixture needs at least one component")
-        if weights.shape != (len(components),):
+        if means.ndim != 2 or means.shape[0] < 1:
+            raise DataError(f"means must be a non-empty (K, d) array, got shape {means.shape}")
+        k, d = means.shape
+        if covs.shape != (k, d, d):
+            raise DataError(f"mean/covariance shapes do not match: {means.shape} vs {covs.shape}")
+        if weights.shape != (k,):
             raise DataError("one weight per component required")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
+            raise DataError("non-finite component parameters")
         if np.any(weights < 0) or np.any(weights > 1):
             raise DataError("mixing weights must lie in [0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise DataError(f"mixing weights sum to {weights.sum()!r}, expected 1")
-        dims = {c.dim for c in components}
-        if len(dims) != 1:
-            raise DataError("components disagree on dimension")
-        weights.setflags(write=False)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "weights", weights)
+        asymmetry = np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2))
+        if np.any(asymmetry > 1e-12):
+            bad = int(np.argmax(asymmetry > 1e-12))
+            raise NumericalError(f"component {bad} covariance is not symmetric within 1e-12")
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as exc:
+            # the batched call does not say which matrix failed
+            for i in range(k):
+                try:
+                    np.linalg.cholesky(covs[i])
+                except np.linalg.LinAlgError:
+                    raise NumericalError(
+                        f"component {i} covariance is not positive-definite"
+                    ) from exc
+            raise NumericalError(f"covariances are not positive-definite: {exc}") from exc
+        log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        for name, value in (("means", means), ("covs", covs), ("weights", weights),
+                            ("chol", chol), ("log_dets", log_dets)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
-        return len(self.components)
+        return self.means.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.means.shape[1]
 
 
 @dataclass(frozen=True)
@@ -159,37 +146,30 @@ def _as_data(data) -> np.ndarray:
     return x
 
 
-def _log_densities(x: np.ndarray, components: Sequence[GaussianComponent]) -> np.ndarray:
-    """Log N(x_n | mu_k, Sigma_k) for all points and components, shape (N, K)."""
-    n = x.shape[0]
-    out = np.empty((n, len(components)))
-    for k, comp in enumerate(components):
-        diff = (x - comp.mean).T
-        z = solve_triangular(comp.chol, diff, lower=True)
-        maha = np.sum(z * z, axis=0)
-        out[:, k] = -0.5 * (comp.dim * _LOG_2PI + comp.log_det + maha)
-    return out
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a_nk) per row; the maximal terms are summed apart for precision."""
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=1)
+    rest = np.sum(np.exp(np.where(is_max, -np.inf, a - a_max)), axis=1)
+    return a_max[:, 0] + np.log1p(rest / count) + np.log(count)
 
 
 def _log_joint(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """log pi_k + log N(x_n | ...), the unnormalized log posteriors."""
+    """log pi_k + log N(x_n | mu_k, Sigma_k), the unnormalized log posteriors, shape (N, K)."""
+    diff = (x[None, :, :] - params.means[:, None, :]).transpose(0, 2, 1)
+    z = np.linalg.solve(params.chol, diff)
+    maha = np.sum(z * z, axis=1)
+    log_dens = -0.5 * (params.dim * _LOG_2PI + params.log_dets[:, None] + maha)
     with np.errstate(divide="ignore"):  # zero weights are legal -> -inf
         log_w = np.log(params.weights)
-    return _log_densities(x, params.components) + log_w
-
-
-def gaussian_pdf(x, comp: GaussianComponent) -> float:
-    """Multivariate normal density at one point, evaluated via log space."""
-    pt = np.asarray(x, dtype=np.float64)
-    if pt.shape != (comp.dim,) or not np.all(np.isfinite(pt)):
-        raise DataError(f"point must be a finite {comp.dim}-vector")
-    return float(np.exp(_log_densities(pt[None, :], [comp])[0, 0]))
+    return log_dens.T + log_w
 
 
 def log_likelihood(data, params: MixtureParams) -> float:
     """L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k), via log-sum-exp."""
     x = _as_data(data)
-    return float(np.sum(logsumexp(_log_joint(x, params), axis=1)))
+    return float(np.sum(_logsumexp(_log_joint(x, params))))
 
 
 def e_step(data, params: MixtureParams) -> np.ndarray:
@@ -200,7 +180,7 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
 
 def _e_step_with_norm(x: np.ndarray, params: MixtureParams):
     log_joint = _log_joint(x, params)
-    log_norm = logsumexp(log_joint, axis=1)
+    log_norm = _logsumexp(log_joint)
     if not np.all(np.isfinite(log_norm)):
         raise NumericalError("mixture density vanished for some data point")
     resp = np.exp(log_joint - log_norm[:, None])
@@ -221,16 +201,13 @@ def m_step(data, resp, reg_eps: float = 1e-6, covariance_mode: str = "full") -> 
 
     weights = mass / n
     weights = weights / weights.sum()
-    components = []
-    for k in range(r.shape[1]):
-        mu = (r[:, k] @ x) / mass[k]
-        diff = x - mu
-        cov = (diff.T * r[:, k]) @ diff / mass[k]
-        if covariance_mode == "diag":
-            cov = np.diag(np.diag(cov))
-        cov = cov + reg_eps * np.eye(d)
-        components.append(GaussianComponent(mean=mu, cov=cov))
-    return MixtureParams(components=tuple(components), weights=weights)
+    means = (r.T @ x) / mass[:, None]
+    diff = x[None, :, :] - means[:, None, :]
+    covs = (diff.transpose(0, 2, 1) * r.T[:, None, :]) @ diff / mass[:, None, None]
+    if covariance_mode == "diag":
+        covs = np.where(np.eye(d, dtype=bool), covs, 0.0)
+    covs = covs + reg_eps * np.eye(d)
+    return MixtureParams(means=means, covs=covs, weights=weights)
 
 
 def _global_cov(x: np.ndarray, reg_eps: float, covariance_mode: str) -> np.ndarray:
@@ -264,7 +241,7 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 def initialize(data, config: EmConfig) -> MixtureParams:
     """Seeded starting parameters: k-means++ means, global covariance, uniform weights."""
     x = _as_data(data)
-    n = x.shape[0]
+    n, d = x.shape
     if n < config.k:
         raise DataError(f"need at least k={config.k} data points, got {n}")
     rng = np.random.default_rng(config.seed)
@@ -273,24 +250,24 @@ def initialize(data, config: EmConfig) -> MixtureParams:
     else:
         means = _seed_means(x, config.k, rng)
     cov = _global_cov(x, config.reg_eps, config.covariance_mode)
-    components = tuple(GaussianComponent(mean=m, cov=cov) for m in means)
+    covs = np.broadcast_to(cov, (config.k, d, d))
     weights = np.full(config.k, 1.0 / config.k)
-    return MixtureParams(components=components, weights=weights)
+    return MixtureParams(means=means, covs=covs, weights=weights)
 
 
 def _reseed_component(
     x: np.ndarray, params: MixtureParams, k_empty: int, config: EmConfig
 ) -> MixtureParams:
     """Move an empty component to the point the mixture explains worst."""
-    log_norm = logsumexp(_log_joint(x, params), axis=1)
-    worst = int(np.argmin(log_norm))
-    cov = _global_cov(x, config.reg_eps, config.covariance_mode)
-    components = list(params.components)
-    components[k_empty] = GaussianComponent(mean=x[worst].copy(), cov=cov)
+    worst = int(np.argmin(_logsumexp(_log_joint(x, params))))
+    means = params.means.copy()
+    means[k_empty] = x[worst]
+    covs = params.covs.copy()
+    covs[k_empty] = _global_cov(x, config.reg_eps, config.covariance_mode)
     weights = params.weights.copy()
     weights[k_empty] = 1.0 / params.k
     weights = weights / weights.sum()
-    return MixtureParams(components=tuple(components), weights=weights)
+    return MixtureParams(means=means, covs=covs, weights=weights)
 
 
 def fit(data, config: EmConfig):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
-from .gmm import GaussianComponent, MixtureParams
+from .gmm import MixtureParams
 from .landmarks import COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo, NormalizationStats
 
 VIDEO_MAGIC = "gesture-landmarks v1"
@@ -171,7 +171,6 @@ def export_plot_data(rows, groups, path) -> None:
 class ModelFile:
     """Everything a classify/score run needs, plus training metadata."""
 
-    k: int
     covariance_mode: str
     params: MixtureParams
     stats: NormalizationStats
@@ -186,7 +185,7 @@ class ModelFile:
 def save_model(model: ModelFile, path) -> None:
     lines = [
         MODEL_MAGIC,
-        f"k={model.k}",
+        f"k={model.params.k}",
         f"covariance_mode={model.covariance_mode}",
         f"seed={model.seed}",
         f"tol={_fmt(model.tol)}",
@@ -197,12 +196,12 @@ def save_model(model: ModelFile, path) -> None:
         "norm_std=" + ",".join(_fmt(v) for v in model.stats.std),
         "weights=" + ",".join(_fmt(v) for v in model.params.weights),
     ]
-    for k, comp in enumerate(model.params.components):
+    for k, (mean, cov) in enumerate(zip(model.params.means, model.params.covs)):
         lines.append(f"component={k}")
         lines.append(f"label={model.label_map.labels[k]}")
         lines.append(f"confidence={_fmt(model.label_map.confidence[k])}")
-        lines.append("mean=" + ",".join(_fmt(v) for v in comp.mean))
-        lines.append("cov=" + ",".join(_fmt(v) for v in comp.cov.ravel()))
+        lines.append("mean=" + ",".join(_fmt(v) for v in mean))
+        lines.append("cov=" + ",".join(_fmt(v) for v in cov.ravel()))
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -300,7 +299,8 @@ def load_model(path) -> ModelFile:
     if abs(weight_sum - 1.0) > 1e-12:
         weights = weights / weight_sum
 
-    components = []
+    means = np.empty((k, COORD_DIM))
+    covs = np.empty((k, COORD_DIM, COORD_DIM))
     labels = []
     confidences = []
     for idx in range(k):
@@ -316,24 +316,19 @@ def load_model(path) -> ModelFile:
                 f"{path}: confidence {conf} outside [0, 1]", field=f"component {idx} confidence"
             )
         confidences.append(conf)
-        comp_mean = _vector_field(cursor, "mean", COORD_DIM)
-        comp_cov = _vector_field(cursor, "cov", COORD_DIM * COORD_DIM).reshape(
+        means[idx] = _vector_field(cursor, "mean", COORD_DIM)
+        covs[idx] = _vector_field(cursor, "cov", COORD_DIM * COORD_DIM).reshape(
             COORD_DIM, COORD_DIM
         )
-        try:
-            components.append(GaussianComponent(mean=comp_mean, cov=comp_cov))
-        except (NumericalError, DataError) as exc:
-            raise ModelFormatError(
-                f"{path}: component {idx} covariance invalid: {exc}",
-                field=f"component {idx} cov",
-            ) from exc
     if cursor.pos >= len(cursor.lines) or cursor.lines[cursor.pos] != "end":
         raise ModelFormatError(f"{path}: missing 'end' sentinel", field="end")
 
-    params = MixtureParams(components=tuple(components), weights=weights)
+    try:
+        params = MixtureParams(means=means, covs=covs, weights=weights)
+    except (NumericalError, DataError) as exc:
+        raise ModelFormatError(f"{path}: {exc}", field="components") from exc
     label_map = ClusterLabelMap(labels=tuple(labels), confidence=tuple(confidences))
     return ModelFile(
-        k=k,
         covariance_mode=covariance_mode,
         params=params,
         stats=stats,

@@ -127,14 +127,3 @@ def apply_normalization(features: FeatureMatrix, stats: NormalizationStats) -> F
         normalized=True,
     )
 
-
-def invert_normalization(features: FeatureMatrix, stats: NormalizationStats) -> FeatureMatrix:
-    """Undo `apply_normalization`; rounding slightly below zero is clipped back."""
-    rows = features.rows * stats.std + stats.mean
-    rows = np.maximum(rows, 0.0)
-    return FeatureMatrix(
-        rows=rows,
-        source_id=features.source_id,
-        label=features.label,
-        normalized=False,
-    )

@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import DataError
 
+# Rows of the distance matrix held at once: memory grows with this times N,
+# not with N squared.
+_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SilhouetteReport:
@@ -43,21 +47,22 @@ def silhouette(data, assignment) -> SilhouetteReport:
     if clusters.size < 2:
         raise DataError("silhouette needs at least 2 distinct clusters")
 
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-
     members = {int(c): np.nonzero(labels == c)[0] for c in clusters}
     per_point = np.zeros(n)
-    for i in range(n):
-        own = int(labels[i])
-        mates = members[own]
-        if mates.size == 1:
-            per_point[i] = 0.0  # singleton cluster convention
-            continue
-        a = dist[i, mates[mates != i]].mean()
-        b = min(dist[i, members[int(c)]].mean() for c in clusters if int(c) != own)
-        denom = max(a, b)
-        per_point[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    for start in range(0, n, _BLOCK_ROWS):
+        diff = x[start:start + _BLOCK_ROWS, None, :] - x[None, :, :]
+        dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+        for i in range(start, start + dist.shape[0]):
+            own = int(labels[i])
+            mates = members[own]
+            if mates.size == 1:
+                per_point[i] = 0.0  # singleton cluster convention
+                continue
+            row = dist[i - start]
+            a = row[mates[mates != i]].mean()
+            b = min(row[members[int(c)]].mean() for c in clusters if int(c) != own)
+            denom = max(a, b)
+            per_point[i] = 0.0 if denom == 0.0 else (b - a) / denom
 
     per_cluster_mean = np.array([per_point[members[int(c)]].mean() for c in clusters])
     return SilhouetteReport(

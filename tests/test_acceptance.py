@@ -13,7 +13,6 @@ import pytest
 
 from gesturemix import (
     EmConfig,
-    GaussianComponent,
     MixtureParams,
     apply_normalization,
     build_label_map,
@@ -57,11 +56,7 @@ def _separated_instance(seed):
 
 
 def _with_means(params, means):
-    comps = tuple(
-        GaussianComponent(mean=np.asarray(m), cov=c.cov)
-        for m, c in zip(means, params.components)
-    )
-    return MixtureParams(components=comps, weights=params.weights)
+    return MixtureParams(means=means, covs=params.covs, weights=params.weights)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +73,6 @@ def default_run():
     report = silhouette(data, np.argmax(resp, axis=1))
     train_seconds = time.perf_counter() - start
     model = ModelFile(
-        k=4,
         covariance_mode="full",
         params=params,
         stats=stats,
@@ -126,7 +120,7 @@ def test_criterion_02_mstep_stationarity():
         x = _separated_instance(seed)
         params, _, _ = fit(x, EmConfig(k=4, seed=seed, tol=1e-12, max_iters=3000, reg_eps=0.0))
         base = log_likelihood(x, params)
-        means = np.array([c.mean for c in params.components])
+        means = params.means
         for kc in range(4):
             for c in range(3):
                 up, dn = means.copy(), means.copy()
@@ -151,7 +145,7 @@ def test_criterion_02_mstep_stationarity():
             if np.any(perturbed < 0):
                 continue
             candidate = MixtureParams(
-                components=params.components, weights=perturbed / perturbed.sum()
+                means=params.means, covs=params.covs, weights=perturbed / perturbed.sum()
             )
             worst_gain = max(worst_gain, log_likelihood(x, candidate) - base)
     ok = worst_grad < 1e-3 and worst_gain <= 1e-6
@@ -168,7 +162,7 @@ def test_criterion_03_mixture_recovery():
     for seed in range(20):
         x = _separated_instance(1000 + seed)
         params, _, _ = fit(x, EmConfig(k=4, seed=seed))
-        fitted = np.array([c.mean for c in params.components])
+        fitted = params.means
         best = min(
             max(np.linalg.norm(fitted[list(perm)] - RECOVERY_MEANS, axis=1))
             for perm in itertools.permutations(range(4))

@@ -5,11 +5,9 @@ from gesturemix import (
     ClusterLabelMap,
     DataError,
     FeatureMatrix,
-    GaussianComponent,
     MixtureParams,
     NormalizationStats,
     build_label_map,
-    classify_row,
     classify_video,
     e_step,
     record_header,
@@ -21,11 +19,16 @@ IDENTITY_STATS = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
 
 
 def tight_mixture(means, spread=0.05):
-    comps = tuple(
-        GaussianComponent(mean=np.asarray(m, dtype=float), cov=spread**2 * np.eye(3))
-        for m in means
+    k = len(means)
+    covs = np.broadcast_to(spread**2 * np.eye(3), (k, 3, 3))
+    return MixtureParams(means=means, covs=covs, weights=np.full(k, 1.0 / k))
+
+
+def twin_mixture():
+    """Two identical standard-normal components at the origin, equally weighted."""
+    return MixtureParams(
+        means=np.zeros((2, 3)), covs=np.stack([np.eye(3)] * 2), weights=np.array([0.5, 0.5])
     )
-    return MixtureParams(components=comps, weights=np.full(len(comps), 1.0 / len(comps)))
 
 
 def feature_rows(row_specs):
@@ -58,7 +61,7 @@ class TestVote:
 class TestClassifyRow:
     def test_row_at_component_mean(self):
         params = tight_mixture([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        idx, posterior = classify_row(np.zeros(3), params)
+        idx, posterior = vote(e_step(np.zeros((1, 3)), params)[0])
         assert idx == 0
         assert posterior > 0.999
 
@@ -68,18 +71,16 @@ class TestClassifyRow:
         params = tight_mixture(rng.normal(size=(4, 3), scale=2.0), spread=0.8)
         for _ in range(30):
             row = rng.normal(size=3, scale=2.0)
-            idx, _ = classify_row(row, params)
+            idx, _ = vote(e_step(row[None], params)[0])
             unnormalized = [
-                w * np.exp(-0.5 * (row - c.mean) @ np.linalg.inv(c.cov) @ (row - c.mean))
-                / np.sqrt(np.linalg.det(c.cov))
-                for w, c in zip(params.weights, params.components)
+                w * np.exp(-0.5 * (row - m) @ np.linalg.inv(c) @ (row - m))
+                / np.sqrt(np.linalg.det(c))
+                for w, m, c in zip(params.weights, params.means, params.covs)
             ]
             assert idx == int(np.argmax(unnormalized))
 
     def test_identical_components_tie_to_zero(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
-        params = MixtureParams(components=(comp, comp), weights=np.array([0.5, 0.5]))
-        idx, posterior = classify_row(np.ones(3), params)
+        idx, posterior = vote(e_step(np.ones((1, 3)), twin_mixture())[0])
         assert idx == 0
         assert posterior == pytest.approx(0.5, abs=1e-12)
 
@@ -165,8 +166,7 @@ class TestClassifyVideo:
             assert result.counts[result.winner] == max(result.counts.values())
 
     def test_vote_tie_breaks_to_smallest_label(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
-        params = MixtureParams(components=(comp, comp), weights=np.array([0.5, 0.5]))
+        params = twin_mixture()
         # identical components: every row ties and votes cluster 0
         label_map = ClusterLabelMap(labels=("zebra", "apple"), confidence=(1.0, 1.0))
         feat = FeatureMatrix(rows=np.full((21, 3), 0.3), source_id="v")
@@ -181,8 +181,7 @@ class TestClassifyVideo:
         label_map = ClusterLabelMap(labels=("a", "b", "c"), confidence=(1.0, 1.0, 1.0))
         perm = [2, 0, 1]
         permuted = MixtureParams(
-            components=tuple(params.components[i] for i in perm),
-            weights=params.weights[perm],
+            means=params.means[perm], covs=params.covs[perm], weights=params.weights[perm]
         )
         permuted_map = ClusterLabelMap(
             labels=tuple(label_map.labels[i] for i in perm),

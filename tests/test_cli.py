@@ -1,5 +1,10 @@
+import subprocess
+import sys
+import time
+
 import pytest
 
+from gesturemix import cli
 from gesturemix.cli import main
 from gesturemix import compute_variances, default_profiles, generate_dataset
 from gesturemix.io import write_feature_csv, write_video
@@ -189,6 +194,23 @@ class TestClassify:
         assert code == 0
         assert "accuracy=" in stdout
 
+    def test_timing_covers_ingest(self, capsys, monkeypatch, trained_dir):
+        data, out = trained_dir
+        ingest = cli._ingest_features
+
+        def slow_ingest(path):
+            time.sleep(0.05)
+            return ingest(path)
+
+        monkeypatch.setattr(cli, "_ingest_features", slow_ingest)
+        code, stdout, stderr = run(
+            capsys, "classify", "--model", str(out / "model.gmm"), "--input", str(data)
+        )
+        assert code == 0
+        assert "seconds_" not in stdout
+        (line,) = [l for l in stderr.splitlines() if l.startswith("seconds_total=")]
+        assert float(line.split("=", 1)[1]) >= 0.05
+
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "classify", "--model", str(tmp_path / "nope.gmm"), "--input", str(tmp_path)
@@ -233,3 +255,12 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "dance")
         assert code == 1
+
+
+def test_cli_import_does_not_load_scipy(cli_env):
+    code = 'import sys, gesturemix.cli; print("scipy" in sys.modules)'
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

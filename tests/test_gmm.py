@@ -6,12 +6,10 @@ import pytest
 from gesturemix import (
     DataError,
     EmConfig,
-    GaussianComponent,
     MixtureParams,
     NumericalError,
     e_step,
     fit,
-    gaussian_pdf,
     initialize,
     log_likelihood,
     m_step,
@@ -19,56 +17,65 @@ from gesturemix import (
 from oracles import direct_density
 
 
+def mixture(means, covs, weights=None):
+    """MixtureParams from per-component means and covariances; uniform weights by default."""
+    k = len(means)
+    if weights is None:
+        weights = np.full(k, 1.0 / k)
+    return MixtureParams(means=means, covs=covs, weights=weights)
+
+
 def random_mixture(rng, k, d=3):
-    comps = []
+    means, covs = [], []
     for _ in range(k):
         a = rng.normal(size=(d, d))
-        comps.append(
-            GaussianComponent(mean=rng.normal(size=d, scale=3.0), cov=a @ a.T + np.eye(d))
-        )
+        means.append(rng.normal(size=d, scale=3.0))
+        covs.append(a @ a.T + np.eye(d))
     w = rng.random(k)
     w /= w.sum()
-    return MixtureParams(components=tuple(comps), weights=w)
+    return mixture(means, covs, w)
+
+
+def single_density(x, mean, cov):
+    """Density of one Gaussian at one point, through the K=1 mixture log-likelihood."""
+    return float(np.exp(log_likelihood(np.asarray(x)[None, :], mixture([mean], [cov]))))
 
 
 class TestGaussianPdf:
     def test_at_mean_identity_covariance(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
-        assert gaussian_pdf(np.zeros(3), comp) == pytest.approx((2 * np.pi) ** -1.5, rel=1e-12)
-        assert gaussian_pdf(np.zeros(3), comp) == pytest.approx(0.0634936, abs=1e-7)
+        density = single_density(np.zeros(3), np.zeros(3), np.eye(3))
+        assert density == pytest.approx((2 * np.pi) ** -1.5, rel=1e-12)
+        assert density == pytest.approx(0.0634936, abs=1e-7)
 
     def test_determinant_scaling(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.diag([4.0, 1.0, 1.0]))
-        assert gaussian_pdf(np.zeros(3), comp) == pytest.approx(0.5 * (2 * np.pi) ** -1.5, rel=1e-12)
+        density = single_density(np.zeros(3), np.zeros(3), np.diag([4.0, 1.0, 1.0]))
+        assert density == pytest.approx(0.5 * (2 * np.pi) ** -1.5, rel=1e-12)
 
     def test_off_mean_matches_direct_formula(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
+        mean, cov = np.zeros(3), np.eye(3)
         x = np.array([1.0, 0.0, 0.0])
-        assert gaussian_pdf(x, comp) == pytest.approx((2 * np.pi) ** -1.5 * np.exp(-0.5), rel=1e-12)
-        assert gaussian_pdf(x, comp) == pytest.approx(direct_density(x, comp.mean, comp.cov), rel=1e-12)
+        density = single_density(x, mean, cov)
+        assert density == pytest.approx((2 * np.pi) ** -1.5 * np.exp(-0.5), rel=1e-12)
+        assert density == pytest.approx(direct_density(x, mean, cov), rel=1e-12)
 
     def test_random_points_match_direct_formula(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(3, 3))
-        comp = GaussianComponent(mean=rng.normal(size=3), cov=a @ a.T + 0.5 * np.eye(3))
+        mean, cov = rng.normal(size=3), a @ a.T + 0.5 * np.eye(3)
         for _ in range(20):
             x = rng.normal(size=3, scale=2.0)
-            assert gaussian_pdf(x, comp) == pytest.approx(
-                direct_density(x, comp.mean, comp.cov), rel=1e-10
+            assert single_density(x, mean, cov) == pytest.approx(
+                direct_density(x, mean, cov), rel=1e-10
             )
 
     def test_nonfinite_point_rejected(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(DataError):
-            gaussian_pdf(np.array([np.nan, 0.0, 0.0]), comp)
+            single_density(np.array([np.nan, 0.0, 0.0]), np.zeros(3), np.eye(3))
 
 
 class TestLogLikelihood:
     def test_single_point_at_mean(self):
-        params = MixtureParams(
-            components=(GaussianComponent(mean=np.zeros(3), cov=np.eye(3)),),
-            weights=np.array([1.0]),
-        )
+        params = mixture([np.zeros(3)], [np.eye(3)])
         ll = log_likelihood(np.zeros((1, 3)), params)
         assert ll == pytest.approx(-1.5 * np.log(2 * np.pi), rel=1e-12)
         assert ll == pytest.approx(-2.75682, abs=1e-5)
@@ -87,8 +94,8 @@ class TestLogLikelihood:
         naive = sum(
             np.log(
                 sum(
-                    w * direct_density(pt, c.mean, c.cov)
-                    for w, c in zip(params.weights, params.components)
+                    w * direct_density(pt, m, c)
+                    for w, m, c in zip(params.weights, params.means, params.covs)
                 )
             )
             for pt in x
@@ -103,29 +110,26 @@ class TestLogLikelihood:
 
 class TestEStep:
     def test_identical_components_give_uniform_rows(self):
-        comp = GaussianComponent(mean=np.ones(3), cov=np.eye(3))
-        params = MixtureParams(components=(comp, comp, comp), weights=np.full(3, 1 / 3))
+        params = mixture([np.ones(3)] * 3, [np.eye(3)] * 3)
         resp = e_step(np.random.default_rng(1).normal(size=(10, 3)), params)
         assert np.allclose(resp, 1 / 3, atol=1e-12)
 
     def test_zero_weight_component_gets_nothing(self):
-        c0 = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
-        c1 = GaussianComponent(mean=np.ones(3), cov=np.eye(3))
-        params = MixtureParams(components=(c0, c1), weights=np.array([1.0, 0.0]))
+        params = mixture([np.zeros(3), np.ones(3)], [np.eye(3)] * 2, np.array([1.0, 0.0]))
         resp = e_step(np.random.default_rng(2).normal(size=(8, 3)), params)
         assert np.allclose(resp[:, 0], 1.0, atol=1e-15)
         assert np.allclose(resp[:, 1], 0.0, atol=1e-15)
 
     def test_matches_direct_bayes_rule(self):
-        c0 = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
-        c1 = GaussianComponent(mean=np.array([6.0, 0.0, 0.0]), cov=2.0 * np.eye(3))
         weights = np.array([0.3, 0.7])
-        params = MixtureParams(components=(c0, c1), weights=weights)
+        params = mixture(
+            [np.zeros(3), np.array([6.0, 0.0, 0.0])], [np.eye(3), 2.0 * np.eye(3)], weights
+        )
         x = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 1.0, -1.0]])
         resp = e_step(x, params)
         for i, pt in enumerate(x):
             joint = np.array(
-                [w * direct_density(pt, c.mean, c.cov) for w, c in zip(weights, params.components)]
+                [w * direct_density(pt, m, c) for w, m, c in zip(weights, params.means, params.covs)]
             )
             assert np.allclose(resp[i], joint / joint.sum(), atol=1e-12)
 
@@ -145,18 +149,18 @@ class TestMStep:
         resp[:10, 0] = 1.0
         resp[10:, 1] = 1.0
         params = m_step(x, resp, reg_eps=0.0)
-        assert np.allclose(params.components[0].mean, x[:10].mean(axis=0), atol=1e-12)
-        assert np.allclose(params.components[1].mean, x[10:].mean(axis=0), atol=1e-12)
+        assert np.allclose(params.means[0], x[:10].mean(axis=0), atol=1e-12)
+        assert np.allclose(params.means[1], x[10:].mean(axis=0), atol=1e-12)
         assert np.allclose(params.weights, [10 / 30, 20 / 30], atol=1e-15)
 
     def test_identity_responsibilities_on_two_points(self):
         x = np.array([[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
         params = m_step(x, np.eye(2), reg_eps=1e-6)
-        assert np.allclose(params.components[0].mean, x[0], atol=1e-15)
-        assert np.allclose(params.components[1].mean, x[1], atol=1e-15)
+        assert np.allclose(params.means[0], x[0], atol=1e-15)
+        assert np.allclose(params.means[1], x[1], atol=1e-15)
         assert np.allclose(params.weights, [0.5, 0.5], atol=1e-15)
-        for comp in params.components:
-            assert np.allclose(comp.cov, 1e-6 * np.eye(3), atol=1e-18)
+        for cov in params.covs:
+            assert np.allclose(cov, 1e-6 * np.eye(3), atol=1e-18)
 
     def test_matches_naive_weighted_oracle(self):
         rng = np.random.default_rng(5)
@@ -170,8 +174,8 @@ class TestMStep:
             mu = sum(resp[i, k] * x[i] for i in range(30)) / n_k
             cov = sum(resp[i, k] * np.outer(x[i] - mu, x[i] - mu) for i in range(30)) / n_k
             cov = cov + reg * np.eye(3)
-            assert np.allclose(params.components[k].mean, mu, atol=1e-12)
-            assert np.allclose(params.components[k].cov, cov, atol=1e-12)
+            assert np.allclose(params.means[k], mu, atol=1e-12)
+            assert np.allclose(params.covs[k], cov, atol=1e-12)
             assert params.weights[k] == pytest.approx(n_k / 30, abs=1e-12)
 
     def test_diag_mode_zeroes_off_diagonal(self):
@@ -180,8 +184,8 @@ class TestMStep:
         resp = rng.random((25, 2))
         resp /= resp.sum(axis=1, keepdims=True)
         params = m_step(x, resp, reg_eps=1e-6, covariance_mode="diag")
-        for comp in params.components:
-            off = comp.cov - np.diag(np.diag(comp.cov))
+        for cov in params.covs:
+            off = cov - np.diag(np.diag(cov))
             assert np.all(off == 0.0)
 
     def test_empty_column_raises(self):
@@ -198,9 +202,9 @@ class TestMStep:
         resp /= resp.sum(axis=1, keepdims=True)
         params = m_step(x, resp)
         assert abs(params.weights.sum() - 1.0) <= 1e-12
-        for comp in params.components:
-            assert np.max(np.abs(comp.cov - comp.cov.T)) <= 1e-12
-            np.linalg.cholesky(comp.cov)  # positive-definite
+        for cov in params.covs:
+            assert np.max(np.abs(cov - cov.T)) <= 1e-12
+            np.linalg.cholesky(cov)  # positive-definite
 
 
 class TestInitialize:
@@ -208,16 +212,15 @@ class TestInitialize:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 3))
         params = initialize(x, EmConfig(k=1, seed=0))
-        assert np.allclose(params.components[0].mean, x.mean(axis=0), atol=1e-12)
+        assert np.allclose(params.means[0], x.mean(axis=0), atol=1e-12)
         assert params.weights[0] == 1.0
 
     def test_deterministic_for_fixed_seed(self):
         x = np.random.default_rng(2).normal(size=(40, 3))
         a = initialize(x, EmConfig(k=3, seed=123))
         b = initialize(x, EmConfig(k=3, seed=123))
-        for ca, cb in zip(a.components, b.components):
-            assert np.array_equal(ca.mean, cb.mean)
-            assert np.array_equal(ca.cov, cb.cov)
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.covs, b.covs)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_far_apart_points_all_become_means(self, seed):
@@ -225,7 +228,7 @@ class TestInitialize:
             [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
         )
         params = initialize(x, EmConfig(k=4, seed=seed))
-        means = sorted(tuple(np.round(c.mean, 6)) for c in params.components)
+        means = sorted(tuple(np.round(m, 6)) for m in params.means)
         assert means == sorted(tuple(row) for row in x)
 
     def test_fewer_points_than_components_rejected(self):
@@ -244,16 +247,16 @@ class TestFit:
         x = rng.normal(loc=[1.0, -2.0, 0.5], scale=0.1, size=(200, 3))
         params, resp, trace = fit(x, EmConfig(k=1, seed=0))
         assert trace.converged
-        assert np.allclose(params.components[0].mean, x.mean(axis=0), atol=1e-12)
+        assert np.allclose(params.means[0], x.mean(axis=0), atol=1e-12)
         se = x.std(axis=0) / np.sqrt(len(x))
-        assert np.all(np.abs(params.components[0].mean - x.mean(axis=0)) <= 3 * se)
+        assert np.all(np.abs(params.means[0] - x.mean(axis=0)) <= 3 * se)
 
     def test_recovers_separated_mixture(self):
         rng = np.random.default_rng(20)
         means = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
         x = sample_mixture(rng, means, 0.3, 100)
         params, _, trace = fit(x, EmConfig(k=4, seed=1))
-        fitted = np.array([c.mean for c in params.components])
+        fitted = params.means
         best = min(
             max(np.linalg.norm(fitted[list(perm)] - means, axis=1))
             for perm in itertools.permutations(range(4))
@@ -292,9 +295,8 @@ class TestFit:
         params1, _, trace1 = fit(x, EmConfig(**config))
         params2, _, trace2 = fit(2.0 * x, EmConfig(**config))
         assert trace1.n_iters == trace2.n_iters
-        for c1, c2 in zip(params1.components, params2.components):
-            assert np.allclose(2.0 * c1.mean, c2.mean, rtol=1e-9, atol=1e-12)
-            assert np.allclose(4.0 * c1.cov, c2.cov, rtol=1e-9, atol=1e-12)
+        assert np.allclose(2.0 * params1.means, params2.means, rtol=1e-9, atol=1e-12)
+        assert np.allclose(4.0 * params1.covs, params2.covs, rtol=1e-9, atol=1e-12)
         assert np.allclose(params1.weights, params2.weights, atol=1e-12)
 
     def test_fewer_points_than_components_rejected(self):
@@ -308,36 +310,38 @@ class TestReseed:
 
         rng = np.random.default_rng(13)
         x = np.vstack([rng.normal(size=(40, 3), scale=0.2), [[9.0, 9.0, 9.0]]])
-        dead = GaussianComponent(mean=np.array([50.0, 50.0, 50.0]), cov=np.eye(3))
-        live = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
-        params = MixtureParams(components=(live, dead), weights=np.array([1.0, 0.0]))
+        live, dead = np.zeros(3), np.array([50.0, 50.0, 50.0])
+        params = mixture([live, dead], [np.eye(3)] * 2, np.array([1.0, 0.0]))
         reseeded = _reseed_component(x, params, 1, EmConfig(k=2, seed=0))
         # the outlier is the point the current mixture explains worst
-        assert np.allclose(reseeded.components[1].mean, [9.0, 9.0, 9.0])
+        assert np.allclose(reseeded.means[1], [9.0, 9.0, 9.0])
         assert abs(reseeded.weights.sum() - 1.0) <= 1e-12
         assert reseeded.weights[1] > 0
 
 
 class TestValidation:
     def test_weights_must_sum_to_one(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(DataError):
-            MixtureParams(components=(comp, comp), weights=np.array([0.5, 0.4]))
+            mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([0.5, 0.4]))
 
     def test_weights_must_be_probabilities(self):
-        comp = GaussianComponent(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(DataError):
-            MixtureParams(components=(comp, comp), weights=np.array([1.5, -0.5]))
+            mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([1.5, -0.5]))
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 1e-6
         with pytest.raises(NumericalError):
-            GaussianComponent(mean=np.zeros(3), cov=cov)
+            mixture([np.zeros(3)], [cov])
 
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NumericalError):
-            GaussianComponent(mean=np.zeros(3), cov=np.diag([1.0, -1.0, 1.0]))
+            mixture([np.zeros(3)], [np.diag([1.0, -1.0, 1.0])])
+
+    def test_error_names_the_failing_component(self):
+        covs = [np.eye(3), np.eye(3), np.diag([1.0, -1.0, 1.0])]
+        with pytest.raises(NumericalError, match="component 2"):
+            mixture([np.zeros(3)] * 3, covs)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -41,7 +41,6 @@ def trained():
     params, resp, trace = fit(data, EmConfig(k=4, seed=0))
     label_map = build_label_map(normed, params)
     model = ModelFile(
-        k=4,
         covariance_mode="full",
         params=params,
         stats=stats,
@@ -178,14 +177,13 @@ class TestModelFiles:
         path = tmp_path / "m.gmm"
         save_model(model, path)
         back = load_model(path)
-        assert back.k == model.k
+        assert back.params.k == model.params.k
         assert back.covariance_mode == model.covariance_mode
         assert np.array_equal(back.stats.mean, model.stats.mean)
         assert np.array_equal(back.stats.std, model.stats.std)
         assert np.array_equal(back.params.weights, model.params.weights)
-        for orig, loaded in zip(model.params.components, back.params.components):
-            assert np.array_equal(orig.mean, loaded.mean)
-            assert np.array_equal(orig.cov, loaded.cov)
+        assert np.array_equal(back.params.means, model.params.means)
+        assert np.array_equal(back.params.covs, model.params.covs)
         assert back.label_map.labels == model.label_map.labels
         assert back.label_map.confidence == model.label_map.confidence
         assert back.tol == model.tol
@@ -273,6 +271,21 @@ class TestModelFiles:
         bad = tmp_path / "bad.gmm"
         bad.write_text("\n".join(edited) + "\n")
         with pytest.raises(ModelFormatError, match="component 0"):
+            load_model(bad)
+
+    def test_broken_covariance_error_names_its_component(self, tmp_path, trained):
+        # the factorization runs on all components at once; the error must
+        # still point at the one that failed
+        model, _, _ = trained
+        path = tmp_path / "m.gmm"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        at = lines.index("component=2") + 4
+        assert lines[at].startswith("cov=")
+        lines[at] = "cov=" + ",".join(["1", "0", "0", "0", "-1", "0", "0", "0", "1"])
+        bad = tmp_path / "bad.gmm"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="component 2"):
             load_model(bad)
 
 

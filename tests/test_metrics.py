@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,17 @@ def test_single_cluster_rejected():
 def test_too_few_points_rejected():
     with pytest.raises(DataError):
         silhouette(np.zeros((2, 3)), np.array([0, 1]))
+
+
+def test_memory_stays_linear_in_rows():
+    # an N x N x 3 difference buffer at N=3000 would take over 200 MiB
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(3000, 3))
+    assignment = rng.integers(0, 4, size=3000)
+    tracemalloc.start()
+    try:
+        silhouette(data, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
