@@ -7,7 +7,6 @@ from .classify import (
     classify_video,
     record_header,
     result_record,
-    vote,
 )
 from .errors import DataError, GestureMixError, ModelFormatError, NumericalError
 from .gmm import (
@@ -64,5 +63,4 @@ __all__ = [
     "record_header",
     "result_record",
     "silhouette",
-    "vote",
 ]

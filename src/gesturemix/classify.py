@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .gmm import MixtureParams, e_step
-from .landmarks import LANDMARK_COUNT, FeatureMatrix, NormalizationStats, apply_normalization
+from .landmarks import FeatureMatrix, NormalizationStats, apply_normalization
 
 
 @dataclass(frozen=True)
@@ -58,38 +58,22 @@ class ClassificationResult:
     margin: int
 
 
-def vote(posteriors) -> tuple[int, float]:
-    """Argmax over one posterior row; ties break toward the lowest index."""
-    p = np.asarray(posteriors, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 1:
-        raise DataError("posterior row must be a 1-d vector")
-    idx = int(np.argmax(p))
-    return idx, float(p[idx])
+def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLabelMap:
+    """Majority label per component over the training rows.
 
-
-def build_label_map(
-    train_features: Sequence[FeatureMatrix], params: MixtureParams
-) -> ClusterLabelMap:
-    """Majority label per component over the (normalized) training rows.
-
-    Every training matrix must carry a label. A component that attracts no
+    `assignment[i]` is the component of training row i (the argmax of its
+    responsibilities) and `row_labels[i]` its gesture. A component that owns no
     rows is degenerate and rejected.
     """
-    if len(train_features) == 0:
-        raise DataError("no training features")
-    unlabeled = [f.source_id for f in train_features if f.label is None]
-    if unlabeled:
-        raise DataError(f"unlabeled training features: {unlabeled[:3]}")
-    rows = np.vstack([f.rows for f in train_features])
-    row_labels = [f.label for f in train_features for _ in range(LANDMARK_COUNT)]
-    assignment = np.argmax(e_step(rows, params), axis=1)
-
+    assignment = np.asarray(assignment)
+    if assignment.shape != (len(row_labels),):
+        raise DataError(f"{assignment.shape} assignments for {len(row_labels)} row labels")
     labels = []
     confidence = []
-    for k in range(params.k):
-        owned = [row_labels[i] for i in np.nonzero(assignment == k)[0]]
+    for comp in range(k):
+        owned = [row_labels[i] for i in np.nonzero(assignment == comp)[0]]
         if not owned:
-            raise DataError(f"component {k} received no training rows; training degenerate")
+            raise DataError(f"component {comp} received no training rows; training degenerate")
         tally = Counter(owned)
         # deterministic tie rule: highest count, then lexicographically smallest
         best_count = max(tally.values())
@@ -107,16 +91,14 @@ def classify_video(
 ) -> ClassificationResult:
     """Normalize a raw feature matrix, vote all 21 rows, and pick the majority gesture.
 
-    Vote-count ties between gestures break toward the lexicographically
-    smallest label.
+    Each row votes for its maximum-posterior component, ties going to the
+    lowest index. Vote-count ties between gestures break toward the
+    lexicographically smallest label.
     """
     if label_map.k != params.k:
         raise DataError(f"label map has {label_map.k} entries for {params.k} components")
-    if features.normalized:
-        raise DataError("classify_video expects raw (un-normalized) features")
-    normed = apply_normalization(features, stats)
-    resp = e_step(normed.rows, params)
-    votes = tuple(vote(resp[i]) for i in range(resp.shape[0]))
+    resp = e_step(apply_normalization(features.rows, stats), params)
+    votes = tuple(zip(np.argmax(resp, axis=1).tolist(), np.max(resp, axis=1).tolist()))
 
     counts = {label: 0 for label in label_map.distinct_labels}
     for cluster, _ in votes:

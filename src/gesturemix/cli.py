@@ -8,6 +8,8 @@ wall-clock timing goes to stderr.
 import argparse
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +55,24 @@ def _action_for(label: str) -> str:
 
 
 def _ingest_features(path: Path):
-    """Features from a video directory or a feature CSV; returns (features, frames)."""
+    """Features from a video directory or a feature CSV; returns (features, frames).
+
+    The input must hold at least one video, each under its own source_id.
+    """
     if path.is_dir():
         videos = read_video_dir(path)
         features = [compute_variances(v) for v in videos]
         total_frames = sum(v.frame_count for v in videos)
-        return features, total_frames
-    if path.is_file():
-        return read_feature_csv(path), None
-    raise DataError(f"input {path} is neither a directory nor a file")
+    elif path.is_file():
+        features, total_frames = read_feature_csv(path), None
+    else:
+        raise DataError(f"input {path} is neither a directory nor a file")
+    if not features:
+        raise DataError(f"{path}: no feature rows")
+    repeated = [sid for sid, n in Counter(f.source_id for f in features).items() if n > 1]
+    if repeated:
+        raise DataError(f"{path}: source_id {repeated[0]!r} appears more than once")
+    return features, total_frames
 
 
 def cmd_synth(args) -> int:
@@ -89,41 +100,39 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.k is not None and args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
-    if args.max_iters < 1:
-        raise UsageError("--max-iters must be at least 1")
-    if args.reg_eps < 0:
-        raise UsageError("--reg-eps must be non-negative")
+    try:
+        # without --k the label count sets k once the input is read
+        config = EmConfig(
+            k=1 if args.k is None else args.k,
+            max_iters=args.max_iters,
+            tol=args.tol,
+            reg_eps=args.reg_eps,
+            seed=args.seed,
+            covariance_mode=args.cov_mode,
+        )
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
 
     features, _ = _ingest_features(Path(args.input))
     unlabeled = [f.source_id for f in features if f.label is None]
     if unlabeled:
         raise DataError(f"training data must be labeled; missing on {unlabeled[:3]}")
     distinct = sorted({f.label for f in features})
-    k = args.k if args.k is not None else len(distinct)
-    if args.k is not None and args.k != len(distinct):
+    if args.k is None:
+        config = replace(config, k=len(distinct))
+    elif args.k != len(distinct):
         print(
             f"warning: --k {args.k} differs from {len(distinct)} distinct labels; proceeding",
             file=sys.stderr,
         )
 
-    stats = fit_normalization(features)
-    normed = [apply_normalization(f, stats) for f in features]
-    data = np.vstack([f.rows for f in normed])
-    config = EmConfig(
-        k=k,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        reg_eps=args.reg_eps,
-        seed=args.seed,
-        covariance_mode=args.cov_mode,
-    )
+    raw_rows = np.vstack([f.rows for f in features])
+    row_labels = [f.label for f in features for _ in range(LANDMARK_COUNT)]
+    stats = fit_normalization(raw_rows)
+    data = apply_normalization(raw_rows, stats)
     params, resp, trace = fit(data, config)
-    label_map = build_label_map(normed, params)
     assignment = np.argmax(resp, axis=1)
+    label_map = build_label_map(assignment, row_labels, params.k)
     report = silhouette(data, assignment)
 
     out = Path(args.output)
@@ -142,9 +151,7 @@ def cmd_train(args) -> int:
     model_path = out / "model.gmm"
     save_model(model, model_path)
 
-    raw_rows = np.vstack([f.rows for f in features])
-    video_labels = [f.label for f in features for _ in range(LANDMARK_COUNT)]
-    export_plot_data(raw_rows, video_labels, out / "train_plot_before.csv")
+    export_plot_data(raw_rows, row_labels, out / "train_plot_before.csv")
     export_plot_data(
         raw_rows, [label_map.label_for(a) for a in assignment], out / "train_plot_after.csv"
     )
@@ -186,8 +193,7 @@ def cmd_classify(args) -> int:
 def cmd_score(args) -> int:
     model = load_model(args.model)
     features, _ = _ingest_features(Path(args.input))
-    normed = [apply_normalization(f, model.stats) for f in features]
-    data = np.vstack([f.rows for f in normed])
+    data = apply_normalization(np.vstack([f.rows for f in features]), model.stats)
     assignment = np.argmax(e_step(data, model.params), axis=1)
     report = silhouette(data, assignment)
     print(report.to_text())

@@ -204,17 +204,18 @@ def m_step(data, resp, reg_eps: float = 1e-6, covariance_mode: str = "full") -> 
     means = (r.T @ x) / mass[:, None]
     diff = x[None, :, :] - means[:, None, :]
     covs = (diff.transpose(0, 2, 1) * r.T[:, None, :]) @ diff / mass[:, None, None]
-    if covariance_mode == "diag":
-        covs = np.where(np.eye(d, dtype=bool), covs, 0.0)
-    covs = covs + reg_eps * np.eye(d)
+    covs = _restrict(covs, covariance_mode) + reg_eps * np.eye(d)
     return MixtureParams(means=means, covs=covs, weights=weights)
 
 
+def _restrict(covs: np.ndarray, covariance_mode: str) -> np.ndarray:
+    """Zero the off-diagonal covariance entries in "diag" mode; any other mode keeps all."""
+    keep = np.eye(covs.shape[-1], dtype=bool) | (covariance_mode != "diag")
+    return np.where(keep, covs, 0.0)
+
+
 def _global_cov(x: np.ndarray, reg_eps: float, covariance_mode: str) -> np.ndarray:
-    cov = np.cov(x.T, bias=True)
-    cov = np.atleast_2d(cov)
-    if covariance_mode == "diag":
-        cov = np.diag(np.diag(cov))
+    cov = _restrict(np.atleast_2d(np.cov(x.T, bias=True)), covariance_mode)
     # starting covariances stay factorizable even with reg_eps=0 and flat data
     return cov + max(reg_eps, 1e-12) * np.eye(x.shape[1])
 

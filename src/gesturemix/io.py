@@ -5,6 +5,7 @@ bit-exact. Loading re-checks the invariants of whatever it constructs and
 rejects anything out of contract with an error naming the offending field.
 """
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -125,8 +126,7 @@ def read_feature_csv(path) -> list[FeatureMatrix]:
             cells = line.split(",")
             if len(cells) != 6:
                 raise DataError(f"{path}: row {start + offset + 2} has {len(cells)} cells, expected 6")
-            lm = _parse_float(cells[0], f"{path} lm column")
-            if int(lm) != offset + 1:
+            if cells[0] != str(offset + 1):
                 raise DataError(
                     f"{path}: row {start + offset + 2} has lm={cells[0]}, expected {offset + 1}"
                 )
@@ -203,7 +203,15 @@ def save_model(model: ModelFile, path) -> None:
         lines.append("mean=" + ",".join(_fmt(v) for v in mean))
         lines.append("cov=" + ",".join(_fmt(v) for v in cov.ravel()))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # written beside the target and renamed onto it, so a failed write leaves
+    # any previous model whole
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text("\n".join(lines) + "\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 class _Cursor:

@@ -7,7 +7,6 @@ downstream model consumes.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,11 +19,20 @@ COORD_DIM = 3
 # the division stays defined.
 STD_FLOOR = 1e-12
 
+# Separators of the text formats: a name holding one could not be read back.
+_NAME_BREAKERS = (",", "\n", "\r")
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
+
+
+def _check_names(source_id: str, label: str | None) -> None:
+    for field, name in (("source_id", source_id), ("label", label)):
+        if name is not None and any(c in name for c in _NAME_BREAKERS):
+            raise DataError(f"{field} {name!r} holds a comma or line break")
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,7 @@ class GestureVideo:
     label: str | None = None
 
     def __post_init__(self):
+        _check_names(self.source_id, self.label)
         frames = _freeze(self.frames)
         if frames.ndim != 3 or frames.shape[1:] != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
@@ -55,18 +64,15 @@ class GestureVideo:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-landmark coordinate variances of one video: 21 rows of (var_x, var_y, var_z).
-
-    Raw matrices hold variances and must be non-negative; matrices produced by
-    `apply_normalization` carry `normalized=True` and may hold any finite reals.
-    """
+    """Per-landmark coordinate variances of one video: 21 non-negative rows of
+    (var_x, var_y, var_z)."""
 
     rows: np.ndarray
     source_id: str
     label: str | None = None
-    normalized: bool = False
 
     def __post_init__(self):
+        _check_names(self.source_id, self.label)
         rows = _freeze(self.rows)
         if rows.shape != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
@@ -74,7 +80,7 @@ class FeatureMatrix:
             )
         if not np.all(np.isfinite(rows)):
             raise DataError(f"non-finite feature value in {self.source_id!r}")
-        if not self.normalized and np.any(rows < 0):
+        if np.any(rows < 0):
             raise DataError(f"negative variance in {self.source_id!r}")
         object.__setattr__(self, "rows", rows)
 
@@ -107,23 +113,16 @@ def compute_variances(video: GestureVideo) -> FeatureMatrix:
     return FeatureMatrix(rows=rows, source_id=video.source_id, label=video.label)
 
 
-def fit_normalization(features: Sequence[FeatureMatrix]) -> NormalizationStats:
-    """Column mean/std over all stacked feature rows, std floored at STD_FLOOR."""
-    if len(features) == 0:
-        raise DataError("cannot fit normalization on an empty feature list")
-    stacked = np.vstack([f.rows for f in features])
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), STD_FLOOR)
+def fit_normalization(rows) -> NormalizationStats:
+    """Column mean/std of stacked (N, 3) feature rows, std floored at STD_FLOOR."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != COORD_DIM or rows.shape[0] == 0:
+        raise DataError(f"normalization needs non-empty (N, {COORD_DIM}) rows, got {rows.shape}")
+    mean = rows.mean(axis=0)
+    std = np.maximum(rows.std(axis=0), STD_FLOOR)
     return NormalizationStats(mean=mean, std=std)
 
 
-def apply_normalization(features: FeatureMatrix, stats: NormalizationStats) -> FeatureMatrix:
-    """Z-score each column: (value - column mean) / column std."""
-    rows = (features.rows - stats.mean) / stats.std
-    return FeatureMatrix(
-        rows=rows,
-        source_id=features.source_id,
-        label=features.label,
-        normalized=True,
-    )
-
+def apply_normalization(rows, stats: NormalizationStats) -> np.ndarray:
+    """Z-score each column of (N, 3) feature rows: (value - column mean) / column std."""
+    return (rows - stats.mean) / stats.std

@@ -25,7 +25,6 @@ from gesturemix import (
     log_likelihood,
     result_record,
     silhouette,
-    vote,
 )
 from gesturemix.io import ModelFile, load_model, save_model, write_feature_csv
 from oracles import brute_force_silhouette
@@ -65,12 +64,13 @@ def default_run():
     start = time.perf_counter()
     videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
     features = [compute_variances(v) for v in videos]
-    stats = fit_normalization(features)
-    normed = [apply_normalization(f, stats) for f in features]
-    data = np.vstack([f.rows for f in normed])
+    raw_rows = np.vstack([f.rows for f in features])
+    stats = fit_normalization(raw_rows)
+    data = apply_normalization(raw_rows, stats)
     params, resp, trace = fit(data, EmConfig(k=4, seed=0))
-    label_map = build_label_map(normed, params)
-    report = silhouette(data, np.argmax(resp, axis=1))
+    assignment = np.argmax(resp, axis=1)
+    label_map = build_label_map(assignment, [f.label for f in features for _ in range(21)], 4)
+    report = silhouette(data, assignment)
     train_seconds = time.perf_counter() - start
     model = ModelFile(
         covariance_mode="full",
@@ -189,10 +189,13 @@ def test_criterion_04_silhouette_oracle_equivalence():
     _report(4, "silhouette-oracle", ok, f"max |difference| {worst:.2e} over 100 instances")
 
 
-def test_criterion_05_reference_posterior_votes():
+def test_criterion_05_reference_posterior_votes(votes_on_posteriors):
     gestures = ("G1", "G2", "G3", "G4")
-    idx1, p1 = vote([0.2, 0.1, 0.6, 0.1])
-    idx21, p21 = vote([0.08, 0.02, 0.8, 0.1])
+    posteriors = np.full((21, 4), 0.25)
+    posteriors[0] = [0.2, 0.1, 0.6, 0.1]
+    posteriors[20] = [0.08, 0.02, 0.8, 0.1]
+    votes = votes_on_posteriors(posteriors)
+    (idx1, p1), (idx21, p21) = votes[0], votes[20]
     ok = (gestures[idx1], p1) == ("G3", 0.6) and (gestures[idx21], p21) == ("G3", 0.8)
     _report(
         5,

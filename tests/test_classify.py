@@ -4,15 +4,16 @@ import pytest
 from gesturemix import (
     ClusterLabelMap,
     DataError,
+    EmConfig,
     FeatureMatrix,
     MixtureParams,
     NormalizationStats,
     build_label_map,
     classify_video,
     e_step,
+    fit,
     record_header,
     result_record,
-    vote,
 )
 
 IDENTITY_STATS = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
@@ -40,20 +41,29 @@ def feature_rows(row_specs):
     return np.array(rows)
 
 
+def first_vote(params, rows, stats=IDENTITY_STATS):
+    """The vote of the first row of a 21-row raw feature matrix."""
+    label_map = ClusterLabelMap(labels=("a",) * params.k, confidence=(1.0,) * params.k)
+    feat = FeatureMatrix(rows=rows, source_id="v")
+    return classify_video(feat, params, label_map, stats).votes[0]
+
+
 class TestVote:
-    def test_moderate_confidence_row(self):
+    """Each row votes for its maximum-posterior component."""
+
+    def test_moderate_confidence_row(self, votes_on_posteriors):
         # posterior row (0.2, 0.1, 0.6, 0.1) belongs to the third gesture at 0.6
-        idx, posterior = vote([0.2, 0.1, 0.6, 0.1])
+        idx, posterior = votes_on_posteriors([[0.2, 0.1, 0.6, 0.1]] * 21)[0]
         assert idx == 2
         assert posterior == 0.6
 
-    def test_high_confidence_row(self):
-        idx, posterior = vote([0.08, 0.02, 0.8, 0.1])
+    def test_high_confidence_row(self, votes_on_posteriors):
+        idx, posterior = votes_on_posteriors([[0.08, 0.02, 0.8, 0.1]] * 21)[0]
         assert idx == 2
         assert posterior == 0.8
 
-    def test_exact_tie_goes_to_lowest_index(self):
-        idx, posterior = vote([0.5, 0.5])
+    def test_exact_tie_goes_to_lowest_index(self, votes_on_posteriors):
+        idx, posterior = votes_on_posteriors([[0.5, 0.5]] * 21)[0]
         assert idx == 0
         assert posterior == 0.5
 
@@ -61,7 +71,7 @@ class TestVote:
 class TestClassifyRow:
     def test_row_at_component_mean(self):
         params = tight_mixture([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        idx, posterior = vote(e_step(np.zeros((1, 3)), params)[0])
+        idx, posterior = first_vote(params, np.zeros((21, 3)))
         assert idx == 0
         assert posterior > 0.999
 
@@ -69,67 +79,50 @@ class TestClassifyRow:
         # the winning index only depends on ratios of weighted densities
         rng = np.random.default_rng(3)
         params = tight_mixture(rng.normal(size=(4, 3), scale=2.0), spread=0.8)
-        for _ in range(30):
-            row = rng.normal(size=3, scale=2.0)
-            idx, _ = vote(e_step(row[None], params)[0])
-            unnormalized = [
-                w * np.exp(-0.5 * (row - m) @ np.linalg.inv(c) @ (row - m))
-                / np.sqrt(np.linalg.det(c))
-                for w, m, c in zip(params.weights, params.means, params.covs)
-            ]
-            assert idx == int(np.argmax(unnormalized))
+        label_map = ClusterLabelMap(labels=("a", "b", "c", "d"), confidence=(1.0,) * 4)
+        # raw variances are non-negative; the stats shift them back around 0
+        stats = NormalizationStats(mean=np.full(3, 20.0), std=np.ones(3))
+        for i in range(2):
+            raw = rng.normal(size=(21, 3), scale=2.0) + 20.0
+            feat = FeatureMatrix(rows=raw, source_id=f"v{i}")
+            votes = classify_video(feat, params, label_map, stats).votes
+            for row, (idx, _) in zip(raw - 20.0, votes):
+                unnormalized = [
+                    w * np.exp(-0.5 * (row - m) @ np.linalg.inv(c) @ (row - m))
+                    / np.sqrt(np.linalg.det(c))
+                    for w, m, c in zip(params.weights, params.means, params.covs)
+                ]
+                assert idx == int(np.argmax(unnormalized))
 
     def test_identical_components_tie_to_zero(self):
-        idx, posterior = vote(e_step(np.ones((1, 3)), twin_mixture())[0])
+        idx, posterior = first_vote(twin_mixture(), np.ones((21, 3)))
         assert idx == 0
         assert posterior == pytest.approx(0.5, abs=1e-12)
 
 
+def rows_of(*blocks):
+    """Assignments and row labels from (component, label, row count) blocks."""
+    assignment = [comp for comp, _, n in blocks for _ in range(n)]
+    row_labels = [label for _, label, n in blocks for _ in range(n)]
+    return np.array(assignment), row_labels
+
+
 class TestBuildLabelMap:
     def test_pure_clusters_map_cleanly(self):
-        params = tight_mixture([[0.0, 0.0, 0.0], [8.0, 8.0, 8.0]])
-        rng = np.random.default_rng(1)
-        features = [
-            FeatureMatrix(rows=rng.normal(size=(21, 3), scale=0.02), source_id="a",
-                          label="pick", normalized=True),
-            FeatureMatrix(rows=8.0 + rng.normal(size=(21, 3), scale=0.02), source_id="b",
-                          label="wave", normalized=True),
-        ]
-        label_map = build_label_map(features, params)
+        label_map = build_label_map(*rows_of((0, "pick", 21), (1, "wave", 21)), 2)
         assert label_map.labels == ("pick", "wave")
         assert label_map.confidence == (1.0, 1.0)
 
     def test_majority_label_with_confidence(self):
-        params = tight_mixture([[0.0, 0.0, 0.0], [8.0, 8.0, 8.0]])
-        rng = np.random.default_rng(2)
-        near_zero = lambda: rng.normal(size=(21, 3), scale=0.02)
-        features = (
-            [FeatureMatrix(rows=near_zero(), source_id=f"p{i}", label="pick", normalized=True)
-             for i in range(3)]
-            + [FeatureMatrix(rows=near_zero(), source_id=f"w{i}", label="wave", normalized=True)
-               for i in range(2)]
-            + [FeatureMatrix(rows=8.0 + near_zero(), source_id="far", label="wave",
-                             normalized=True)]
-        )
-        label_map = build_label_map(features, params)
+        assignment, row_labels = rows_of((0, "pick", 63), (0, "wave", 42), (1, "wave", 21))
+        label_map = build_label_map(assignment, row_labels, 2)
         assert label_map.labels[0] == "pick"  # 63 pick rows vs 42 wave rows
         assert label_map.confidence[0] == pytest.approx(0.6)
         assert label_map.labels[1] == "wave"
 
     def test_empty_cluster_rejected(self):
-        params = tight_mixture([[0.0, 0.0, 0.0], [8.0, 8.0, 8.0], [100.0, 100.0, 100.0]])
-        features = [
-            FeatureMatrix(rows=np.zeros((21, 3)), source_id="a", label="pick", normalized=True),
-            FeatureMatrix(rows=np.full((21, 3), 8.0), source_id="b", label="wave", normalized=True),
-        ]
         with pytest.raises(DataError):
-            build_label_map(features, params)
-
-    def test_unlabeled_features_rejected(self):
-        params = tight_mixture([[0.0, 0.0, 0.0]])
-        features = [FeatureMatrix(rows=np.zeros((21, 3)), source_id="a", normalized=True)]
-        with pytest.raises(DataError):
-            build_label_map(features, params)
+            build_label_map(*rows_of((0, "pick", 21), (1, "wave", 21)), 3)
 
 
 class TestClassifyVideo:
@@ -194,13 +187,6 @@ class TestClassifyVideo:
             assert a.winner == b.winner
             assert a.counts == b.counts
 
-    def test_normalized_input_rejected(self):
-        params = tight_mixture([[0.0, 0.0, 0.0]])
-        label_map = ClusterLabelMap(labels=("pick",), confidence=(1.0,))
-        feat = FeatureMatrix(rows=np.zeros((21, 3)), source_id="v", normalized=True)
-        with pytest.raises(DataError):
-            classify_video(feat, params, label_map, IDENTITY_STATS)
-
     def test_label_map_size_mismatch_rejected(self):
         params = tight_mixture([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         label_map = ClusterLabelMap(labels=("pick",), confidence=(1.0,))
@@ -221,21 +207,14 @@ class TestRecords:
 
 class TestSelfConsistency:
     def test_training_rows_reproduce_confidences(self):
-        # re-deriving per-cluster majority fractions from fresh E-step votes
-        # must reproduce the stored confidences exactly
+        # fit's responsibilities belong to the parameters it returns, so the map
+        # labelled from them matches the majority fractions of fresh E-step votes
         rng = np.random.default_rng(21)
-        params = tight_mixture([[0.0, 0.0, 0.0], [6.0, 6.0, 6.0]], spread=1.0)
-        features = []
-        for i in range(6):
-            rows = rng.normal(size=(21, 3), scale=1.2) + (6.0 if i % 2 else 0.0)
-            features.append(
-                FeatureMatrix(rows=rows, source_id=f"v{i}", label="wave" if i % 2 else "pick",
-                              normalized=True)
-            )
-        label_map = build_label_map(features, params)
-        stacked = np.vstack([f.rows for f in features])
-        row_labels = [f.label for f in features for _ in range(21)]
-        assignment = np.argmax(e_step(stacked, params), axis=1)
+        rows = np.vstack([rng.normal(size=(21, 3), scale=1.2) + 6.0 * (i % 2) for i in range(6)])
+        row_labels = [("wave" if i % 2 else "pick") for i in range(6) for _ in range(21)]
+        params, resp, _ = fit(rows, EmConfig(k=2, seed=0))
+        label_map = build_label_map(np.argmax(resp, axis=1), row_labels, params.k)
+        assignment = np.argmax(e_step(rows, params), axis=1)
         for k in range(params.k):
             owned = [row_labels[i] for i in np.nonzero(assignment == k)[0]]
             agree = sum(1 for lbl in owned if lbl == label_map.labels[k])

@@ -6,7 +6,7 @@ import pytest
 
 from gesturemix import cli
 from gesturemix.cli import main
-from gesturemix import compute_variances, default_profiles, generate_dataset
+from gesturemix import FeatureMatrix, compute_variances, default_profiles, generate_dataset
 from gesturemix.io import write_feature_csv, write_video
 
 
@@ -150,6 +150,36 @@ class TestTrain:
         code, _, stderr = run(capsys, "train", "--output", str(tmp_path / "o"))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--k", "0"), ("--tol", "0"), ("--max-iters", "0"), ("--reg-eps", "-1")],
+    )
+    def test_bad_em_flag_is_usage_error_before_input_is_read(self, tmp_path, capsys, flag, value):
+        missing = tmp_path / "no-such-input"
+        code, _, stderr = run(
+            capsys, "train", "--input", str(missing), "--output", str(tmp_path / "o"), flag, value
+        )
+        assert code == 1
+        assert stderr.startswith("usage error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_source_id_rejected_in_videos(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        videos = make_corpus(data, videos_per_profile=1, frames=20)
+        write_video(videos[0], data / "copy.landmarks")
+        code, _, stderr = run(capsys, "train", "--input", str(data), "--output", str(tmp_path / "o"))
+        assert code == 2
+        assert repr(videos[0].source_id) in stderr
+
+    def test_repeated_source_id_rejected_in_feature_csv(self, tmp_path, capsys):
+        videos = generate_dataset(default_profiles(), videos_per_profile=1, frames=20, seed=2)
+        feats = [compute_variances(v) for v in videos]
+        csv = tmp_path / "features.csv"
+        write_feature_csv(feats + feats[:1], csv)
+        code, _, stderr = run(capsys, "train", "--input", str(csv), "--output", str(tmp_path / "o"))
+        assert code == 2
+        assert "more than once" in stderr
+
 
 class TestClassify:
     def test_records_accuracy_and_actions(self, tmp_path, capsys, trained_dir):
@@ -234,13 +264,14 @@ class TestScore:
         _, out = trained_dir
         # identical feature matrices: every row must land in the same cluster
         videos = generate_dataset(default_profiles()[:1], videos_per_profile=1, frames=150, seed=4)
-        feat = compute_variances(videos[0])
+        rows = compute_variances(videos[0]).rows
         csv = tmp_path / "one.csv"
-        write_feature_csv([feat, feat, feat], csv)
+        write_feature_csv([FeatureMatrix(rows=rows, source_id=f"copy{i}") for i in range(3)], csv)
         code, _, stderr = run(
             capsys, "score", "--model", str(out / "model.gmm"), "--input", str(csv)
         )
         assert code == 2
+        assert "2 distinct clusters" in stderr
 
 
 class TestUsage:
@@ -255,6 +286,21 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "dance")
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "score"])
+def test_input_without_videos_is_data_error(tmp_path, capsys, trained_dir, command):
+    csv = tmp_path / "header-only.csv"
+    write_feature_csv([], csv)
+    _, out = trained_dir
+    if command == "train":
+        where = ["--output", str(tmp_path / "o")]
+    else:
+        where = ["--model", str(out / "model.gmm")]
+    code, stdout, stderr = run(capsys, command, "--input", str(csv), *where)
+    assert code == 2
+    assert stdout == ""
+    assert "no feature rows" in stderr
 
 
 def test_cli_import_does_not_load_scipy(cli_env):

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,11 +38,11 @@ def trained():
     """Small trained model over a 12-video corpus."""
     videos = generate_dataset(default_profiles(), videos_per_profile=3, frames=40, seed=9)
     features = [compute_variances(v) for v in videos]
-    stats = fit_normalization(features)
-    normed = [apply_normalization(f, stats) for f in features]
-    data = np.vstack([f.rows for f in normed])
-    params, resp, trace = fit(data, EmConfig(k=4, seed=0))
-    label_map = build_label_map(normed, params)
+    raw_rows = np.vstack([f.rows for f in features])
+    stats = fit_normalization(raw_rows)
+    params, resp, trace = fit(apply_normalization(raw_rows, stats), EmConfig(k=4, seed=0))
+    row_labels = [f.label for f in features for _ in range(21)]
+    label_map = build_label_map(np.argmax(resp, axis=1), row_labels, params.k)
     model = ModelFile(
         covariance_mode="full",
         params=params,
@@ -161,6 +164,14 @@ class TestFeatureCsv:
         rows = [f"{i + 1},0.0,nan,0.0,v0,wave" for i in range(21)]
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
         with pytest.raises(DataError, match="NaN"):
+            read_feature_csv(path)
+
+    def test_fractional_landmark_number_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
+        rows[0] = "1.5,0.0,0.0,0.0,v0,wave"
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataError, match="lm=1.5"):
             read_feature_csv(path)
 
     def test_source_id_change_mid_block_rejected(self, tmp_path):
@@ -287,6 +298,24 @@ class TestModelFiles:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="component 2"):
             load_model(bad)
+
+
+    def test_failed_save_keeps_previous_model(self, tmp_path, trained, monkeypatch):
+        model, _, _ = trained
+        path = tmp_path / "model.gmm"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, text):
+            with open(self, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(replace(model, seed=7), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.gmm"]
 
 
 class TestPlotExport:

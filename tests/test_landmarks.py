@@ -92,67 +92,54 @@ class TestVideoValidation:
             make_video(frames)
 
 
-def matrix_of(value, source_id="m", label=None):
-    return FeatureMatrix(rows=np.full((21, 3), float(value)), source_id=source_id, label=label)
-
-
 class TestFitNormalization:
     def test_constant_features_hit_std_floor(self):
-        stats = fit_normalization([matrix_of(0.7)])
+        stats = fit_normalization(np.full((21, 3), 0.7))
         assert np.allclose(stats.mean, 0.7)
         assert np.all(stats.std == STD_FLOOR)
 
     def test_symmetric_two_value_column(self):
-        lo, hi = matrix_of(0.0), matrix_of(2.0)
-        stats = fit_normalization([lo, hi])
+        stats = fit_normalization(np.vstack([np.zeros((21, 3)), np.full((21, 3), 2.0)]))
         assert np.allclose(stats.mean, 1.0)
         assert np.allclose(stats.std, 1.0)  # population std of {0, 2}
 
     def test_matches_streaming_oracle(self):
         # Welford accumulation, one row at a time.
-        rng = np.random.default_rng(3)
-        features = [
-            FeatureMatrix(rows=rng.random((21, 3)), source_id=f"v{i}") for i in range(80)
-        ]
+        rows = np.random.default_rng(3).random((80 * 21, 3))
         count = 0
         mean = np.zeros(3)
         m2 = np.zeros(3)
-        for feat in features:
-            for row in feat.rows:
-                count += 1
-                delta = row - mean
-                mean = mean + delta / count
-                m2 = m2 + delta * (row - mean)
-        stats = fit_normalization(features)
+        for row in rows:
+            count += 1
+            delta = row - mean
+            mean = mean + delta / count
+            m2 = m2 + delta * (row - mean)
+        stats = fit_normalization(rows)
         assert np.allclose(stats.mean, mean, rtol=1e-12, atol=1e-15)
         assert np.allclose(stats.std, np.sqrt(m2 / count), rtol=1e-9, atol=1e-15)
 
     def test_empty_list_rejected(self):
-        with pytest.raises(DataError):
-            fit_normalization([])
+        for empty in ([], np.empty((0, 3))):
+            with pytest.raises(DataError):
+                fit_normalization(empty)
 
 
 class TestApplyNormalization:
     def test_column_mean_maps_to_zero(self):
         stats = NormalizationStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([2.0, 2.0, 2.0]))
-        feat = FeatureMatrix(rows=np.tile([1.0, 2.0, 3.0], (21, 1)), source_id="m")
-        out = apply_normalization(feat, stats)
-        assert np.all(out.rows == 0.0)
-        assert out.normalized
+        out = apply_normalization(np.tile([1.0, 2.0, 3.0], (21, 1)), stats)
+        assert np.all(out == 0.0)
 
     def test_identity_stats_preserve_values(self):
         stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
-        feat = FeatureMatrix(rows=np.random.default_rng(1).random((21, 3)), source_id="m")
-        out = apply_normalization(feat, stats)
-        assert np.array_equal(out.rows, feat.rows)
+        rows = np.random.default_rng(1).random((21, 3))
+        assert np.array_equal(apply_normalization(rows, stats), rows)
 
     def test_self_fit_set_is_standardized(self):
-        rng = np.random.default_rng(9)
-        features = [FeatureMatrix(rows=rng.random((21, 3)), source_id=f"v{i}") for i in range(10)]
-        stats = fit_normalization(features)
-        stacked = np.vstack([apply_normalization(f, stats).rows for f in features])
-        assert np.allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(stacked.std(axis=0), 1.0, atol=1e-9)
+        rows = np.random.default_rng(9).random((210, 3))
+        out = apply_normalization(rows, fit_normalization(rows))
+        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
+        assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
 
 
 class TestFeatureMatrixValidation:
@@ -162,12 +149,6 @@ class TestFeatureMatrixValidation:
         with pytest.raises(DataError):
             FeatureMatrix(rows=rows, source_id="bad")
 
-    def test_negative_allowed_when_normalized(self):
-        rows = np.zeros((21, 3))
-        rows[3, 1] = -0.5
-        feat = FeatureMatrix(rows=rows, source_id="ok", normalized=True)
-        assert feat.rows[3, 1] == -0.5
-
     def test_wrong_shape_rejected(self):
         with pytest.raises(DataError):
             FeatureMatrix(rows=np.zeros((20, 3)), source_id="bad")
@@ -175,3 +156,22 @@ class TestFeatureMatrixValidation:
     def test_nonpositive_std_rejected(self):
         with pytest.raises(DataError):
             NormalizationStats(mean=np.zeros(3), std=np.array([1.0, 0.0, 1.0]))
+
+
+class TestNames:
+    """Names are written into comma- and line-separated files, so they may hold neither."""
+
+    @pytest.mark.parametrize("name", ["a,b", "wa\nve", "wave\r"])
+    def test_separator_in_source_id_or_label_rejected(self, name):
+        with pytest.raises(DataError):
+            FeatureMatrix(rows=np.zeros((21, 3)), source_id=name)
+        with pytest.raises(DataError):
+            FeatureMatrix(rows=np.zeros((21, 3)), source_id="v", label=name)
+        with pytest.raises(DataError):
+            make_video(np.zeros((2, 21, 3)), source_id=name)
+        with pytest.raises(DataError):
+            make_video(np.zeros((2, 21, 3)), label=name)
+
+    def test_plain_names_accepted(self):
+        video = make_video(np.zeros((2, 21, 3)), source_id="wave-007 take 2", label="pick up")
+        assert compute_variances(video).label == "pick up"
