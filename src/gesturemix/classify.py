@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .gmm import MixtureParams, e_step
-from .landmarks import FeatureMatrix, NormalizationStats, apply_normalization
+from .landmarks import FeatureMatrix, NormalizationStats, apply_normalization, check_names
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class ClusterLabelMap:
             raise DataError("label map cannot be empty")
         if any(not (0.0 <= c <= 1.0) for c in self.confidence):
             raise DataError("confidences must lie in [0, 1]")
+        for label in self.labels:
+            check_names(label=label)
 
     @property
     def k(self) -> int:

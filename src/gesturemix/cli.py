@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import build_label_map, classify_video, record_header, result_record
 from .errors import DataError, NumericalError
-from .gmm import EmConfig, e_step, fit
+from .gmm import COVARIANCE_MODES, EmConfig, e_step, fit
 from .io import (
     ModelFile,
     load_model,
@@ -138,12 +138,10 @@ def cmd_train(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     model = ModelFile(
-        covariance_mode=args.cov_mode,
+        config=config,
         params=params,
         stats=stats,
         label_map=label_map,
-        seed=args.seed,
-        tol=args.tol,
         iterations=trace.n_iters,
         final_log_likelihood=trace.log_likelihoods[-1],
         silhouette=report.overall,
@@ -215,11 +213,11 @@ def build_parser() -> _Parser:
     p_train.add_argument("--input", required=True, help="video directory or feature CSV")
     p_train.add_argument("--output", default=".", help="directory for model + plot exports")
     p_train.add_argument("--k", type=int, default=None, help="components; defaults to #labels")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--tol", type=float, default=1e-6)
-    p_train.add_argument("--max-iters", type=int, default=500)
-    p_train.add_argument("--reg-eps", type=float, default=1e-6)
-    p_train.add_argument("--cov-mode", choices=("full", "diag"), default="full")
+    p_train.add_argument("--seed", type=int, default=EmConfig.seed)
+    p_train.add_argument("--tol", type=float, default=EmConfig.tol)
+    p_train.add_argument("--max-iters", type=int, default=EmConfig.max_iters)
+    p_train.add_argument("--reg-eps", type=float, default=EmConfig.reg_eps)
+    p_train.add_argument("--cov-mode", choices=COVARIANCE_MODES, default=EmConfig.covariance_mode)
     p_train.set_defaults(func=cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify videos with a trained model")

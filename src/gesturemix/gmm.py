@@ -34,6 +34,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 EMPTY_COMPONENT_MASS = 1e-10
 _MAX_RESEEDS = 3
 
+COVARIANCE_MODES = ("full", "diag")
+
 
 @dataclass(frozen=True)
 class MixtureParams:
@@ -59,7 +61,7 @@ class MixtureParams:
             raise DataError("one weight per component required")
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
             raise DataError("non-finite component parameters")
-        if np.any(weights < 0) or np.any(weights > 1):
+        if not np.all((weights >= 0) & (weights <= 1)):  # NaN fails both
             raise DataError("mixing weights must lie in [0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise DataError(f"mixing weights sum to {weights.sum()!r}, expected 1")
@@ -113,9 +115,11 @@ class EmConfig:
             raise DataError("max_iters must be at least 1")
         if not self.tol > 0:
             raise DataError("tol must be positive")
-        if self.reg_eps < 0:
+        if not self.reg_eps >= 0:
             raise DataError("reg_eps must be non-negative")
-        if self.covariance_mode not in ("full", "diag"):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise DataError("seed must be non-negative")
+        if self.covariance_mode not in COVARIANCE_MODES:
             raise DataError(f"unknown covariance_mode {self.covariance_mode!r}")
 
 
@@ -282,8 +286,9 @@ def fit(data, config: EmConfig):
     trace = EmTrace()
 
     def checked_e_step(params, iteration):
-        # Reseed any component whose posterior mass has collapsed to zero.
-        for _ in range(_MAX_RESEEDS + 1):
+        # Reseed any component whose posterior mass has collapsed to zero. Each
+        # pass returns, raises or records a reseed, and reseeds are capped.
+        while True:
             resp, log_norm = _e_step_with_norm(x, params)
             mass = resp.sum(axis=0)
             empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
@@ -297,7 +302,6 @@ def fit(data, config: EmConfig):
                 )
             trace.reseeds.append((iteration, int(empty[0])))
             params = _reseed_component(x, params, int(empty[0]), config)
-        raise NumericalError("reseed loop failed to produce a live component")
 
     params, resp, ll = checked_e_step(params, 0)
     trace.log_likelihoods.append(ll)

@@ -14,11 +14,11 @@ import numpy as np
 
 from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
-from .gmm import MixtureParams
+from .gmm import EmConfig, MixtureParams
 from .landmarks import COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo, NormalizationStats
 
 VIDEO_MAGIC = "gesture-landmarks v1"
-MODEL_MAGIC = "gesture-gmm-model v1"
+MODEL_MAGIC = "gesture-gmm-model v2"
 FEATURE_CSV_HEADER = "lm,var_x,var_y,var_z,source_id,label"
 PLOT_HEADER = "var_x,var_y,var_z,group"
 MANIFEST_HEADER = "file,source_id,label"
@@ -169,39 +169,64 @@ def export_plot_data(rows, groups, path) -> None:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """Everything a classify/score run needs, plus training metadata."""
+    """Everything a classify/score run needs, plus the training configuration and outcome."""
 
-    covariance_mode: str
+    config: EmConfig
     params: MixtureParams
     stats: NormalizationStats
     label_map: ClusterLabelMap
-    seed: int
-    tol: float
     iterations: int
     final_log_likelihood: float
     silhouette: float
 
+    def __post_init__(self):
+        if not self.config.k == self.params.k == self.label_map.k:
+            raise DataError(
+                f"k={self.config.k} but the mixture has {self.params.k} components "
+                f"and the label map {self.label_map.k}"
+            )
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(c) for c in text.split(",")])
+
+
+# How a value is written, by the parser that reads it back; the rest use str().
+_WRITERS = {float: _fmt, _floats: lambda values: ",".join(_fmt(v) for v in np.ravel(values))}
+
+# The model format, in file order: (key, its value in a ModelFile, parser).
+# The header keys come once, the component keys once per component.
+_HEADER_KEYS = (
+    ("k", lambda m: m.config.k, int),
+    ("covariance_mode", lambda m: m.config.covariance_mode, str),
+    ("seed", lambda m: m.config.seed, int),
+    ("tol", lambda m: m.config.tol, float),
+    ("max_iters", lambda m: m.config.max_iters, int),
+    ("reg_eps", lambda m: m.config.reg_eps, float),
+    ("iterations", lambda m: m.iterations, int),
+    ("final_log_likelihood", lambda m: m.final_log_likelihood, float),
+    ("silhouette", lambda m: m.silhouette, float),
+    ("norm_mean", lambda m: m.stats.mean, _floats),
+    ("norm_std", lambda m: m.stats.std, _floats),
+    ("weights", lambda m: m.params.weights, _floats),
+)
+_COMPONENT_KEYS = (
+    ("component", lambda m, i: i, str),
+    ("label", lambda m, i: m.label_map.labels[i], str),
+    ("confidence", lambda m, i: m.label_map.confidence[i], float),
+    ("mean", lambda m, i: m.params.means[i], _floats),
+    ("cov", lambda m, i: m.params.covs[i], _floats),
+)
+
+
+def _key_lines(keys, *where) -> list[str]:
+    return [f"{key}={_WRITERS.get(parse, str)(get(*where))}" for key, get, parse in keys]
+
 
 def save_model(model: ModelFile, path) -> None:
-    lines = [
-        MODEL_MAGIC,
-        f"k={model.params.k}",
-        f"covariance_mode={model.covariance_mode}",
-        f"seed={model.seed}",
-        f"tol={_fmt(model.tol)}",
-        f"iterations={model.iterations}",
-        f"final_log_likelihood={_fmt(model.final_log_likelihood)}",
-        f"silhouette={_fmt(model.silhouette)}",
-        "norm_mean=" + ",".join(_fmt(v) for v in model.stats.mean),
-        "norm_std=" + ",".join(_fmt(v) for v in model.stats.std),
-        "weights=" + ",".join(_fmt(v) for v in model.params.weights),
-    ]
-    for k, (mean, cov) in enumerate(zip(model.params.means, model.params.covs)):
-        lines.append(f"component={k}")
-        lines.append(f"label={model.label_map.labels[k]}")
-        lines.append(f"confidence={_fmt(model.label_map.confidence[k])}")
-        lines.append("mean=" + ",".join(_fmt(v) for v in mean))
-        lines.append("cov=" + ",".join(_fmt(v) for v in cov.ravel()))
+    lines = [MODEL_MAGIC, *_key_lines(_HEADER_KEYS, model)]
+    for i in range(model.params.k):
+        lines += _key_lines(_COMPONENT_KEYS, model, i)
     lines.append("end")
     # written beside the target and renamed onto it, so a failed write leaves
     # any previous model whole
@@ -214,46 +239,18 @@ def save_model(model: ModelFile, path) -> None:
         partial.unlink(missing_ok=True)
 
 
-class _Cursor:
-    def __init__(self, lines: list[str], path: Path):
-        self.lines = lines
-        self.pos = 0
-        self.path = path
-
-    def expect(self, key: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"{self.path}: file ends before '{key}'", field=key)
-        line = self.lines[self.pos]
-        self.pos += 1
-        if not line.startswith(key + "="):
-            raise ModelFormatError(
-                f"{self.path}: expected '{key}=...', found {line!r}", field=key
-            )
-        return line[len(key) + 1:]
-
-
-def _float_field(cursor: _Cursor, key: str) -> float:
-    raw = cursor.expect(key)
+def _checked(path: Path, field: str, make):
+    """make(), with the range or shape error of what it builds reported against the file."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ModelFormatError(f"{cursor.path}: bad float {raw!r}", field=key) from exc
-
-
-def _vector_field(cursor: _Cursor, key: str, length: int) -> np.ndarray:
-    raw = cursor.expect(key)
-    cells = raw.split(",")
-    if len(cells) != length:
-        raise ModelFormatError(
-            f"{cursor.path}: '{key}' holds {len(cells)} values, expected {length}", field=key
-        )
-    try:
-        return np.array([float(c) for c in cells])
-    except ValueError as exc:
-        raise ModelFormatError(f"{cursor.path}: bad float in '{key}'", field=key) from exc
+        return make()
+    except (ValueError, NumericalError) as exc:
+        raise ModelFormatError(f"{path}: {exc}", field=field) from exc
 
 
 def load_model(path) -> ModelFile:
+    """Read a model file back. The loader checks the key sequence, the component
+    indices, the weight sum and the `end` sentinel; every range and shape check
+    is made by the object the values build."""
     path = Path(path)
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0] != MODEL_MAGIC:
@@ -261,44 +258,29 @@ def load_model(path) -> ModelFile:
             f"{path}: missing or unsupported version header (want '{MODEL_MAGIC}')",
             field="version",
         )
-    cursor = _Cursor(lines[1:], path)
+    rest = iter(lines[1:])
 
-    raw_k = cursor.expect("k")
-    try:
-        k = int(raw_k)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: bad k {raw_k!r}", field="k") from exc
-    if k < 1:
-        raise ModelFormatError(f"{path}: k must be >= 1, got {k}", field="k")
+    def read(keys) -> dict:
+        values = {}
+        for key, _, parse in keys:
+            line = next(rest, None)
+            if line is None:
+                raise ModelFormatError(f"{path}: file ends before '{key}'", field=key)
+            if not line.startswith(key + "="):
+                raise ModelFormatError(f"{path}: expected '{key}=...', found {line!r}", field=key)
+            text = line[len(key) + 1:]
+            try:
+                values[key] = parse(text)
+            except ValueError as exc:
+                raise ModelFormatError(f"{path}: bad value {text!r}", field=key) from exc
+        return values
 
-    covariance_mode = cursor.expect("covariance_mode")
-    if covariance_mode not in ("full", "diag"):
-        raise ModelFormatError(
-            f"{path}: unknown covariance_mode {covariance_mode!r}", field="covariance_mode"
-        )
-    raw_seed = cursor.expect("seed")
-    try:
-        seed = int(raw_seed)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: bad seed {raw_seed!r}", field="seed") from exc
-    tol = _float_field(cursor, "tol")
-    raw_iters = cursor.expect("iterations")
-    try:
-        iterations = int(raw_iters)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: bad iterations {raw_iters!r}", field="iterations") from exc
-    final_ll = _float_field(cursor, "final_log_likelihood")
-    sil = _float_field(cursor, "silhouette")
-
-    mean = _vector_field(cursor, "norm_mean", COORD_DIM)
-    std = _vector_field(cursor, "norm_std", COORD_DIM)
-    if np.any(std <= 0):
-        raise ModelFormatError(f"{path}: norm_std must be strictly positive", field="norm_std")
-    stats = NormalizationStats(mean=mean, std=std)
-
-    weights = _vector_field(cursor, "weights", k)
-    if np.any(weights < 0) or np.any(weights > 1):
-        raise ModelFormatError(f"{path}: weights must lie in [0, 1]", field="weights")
+    head = read(_HEADER_KEYS)
+    config = _checked(path, "config", lambda: EmConfig(
+        k=head["k"], covariance_mode=head["covariance_mode"], seed=head["seed"],
+        tol=head["tol"], max_iters=head["max_iters"], reg_eps=head["reg_eps"],
+    ))
+    weights = head["weights"]
     weight_sum = float(weights.sum())
     if abs(weight_sum - 1.0) > 1e-9:
         raise ModelFormatError(
@@ -307,43 +289,38 @@ def load_model(path) -> ModelFile:
     if abs(weight_sum - 1.0) > 1e-12:
         weights = weights / weight_sum
 
-    means = np.empty((k, COORD_DIM))
-    covs = np.empty((k, COORD_DIM, COORD_DIM))
-    labels = []
-    confidences = []
-    for idx in range(k):
-        raw_idx = cursor.expect("component")
-        if raw_idx != str(idx):
+    components = []
+    for idx in range(config.k):
+        component = read(_COMPONENT_KEYS)
+        if component["component"] != str(idx):
             raise ModelFormatError(
-                f"{path}: expected component {idx}, found {raw_idx!r}", field=f"component {idx}"
+                f"{path}: expected component {idx}, found {component['component']!r}",
+                field=f"component {idx}",
             )
-        labels.append(cursor.expect("label"))
-        conf = _float_field(cursor, "confidence")
-        if not 0.0 <= conf <= 1.0:
-            raise ModelFormatError(
-                f"{path}: confidence {conf} outside [0, 1]", field=f"component {idx} confidence"
-            )
-        confidences.append(conf)
-        means[idx] = _vector_field(cursor, "mean", COORD_DIM)
-        covs[idx] = _vector_field(cursor, "cov", COORD_DIM * COORD_DIM).reshape(
-            COORD_DIM, COORD_DIM
-        )
-    if cursor.pos >= len(cursor.lines) or cursor.lines[cursor.pos] != "end":
+        components.append(component)
+    if next(rest, None) != "end":
         raise ModelFormatError(f"{path}: missing 'end' sentinel", field="end")
 
-    try:
-        params = MixtureParams(means=means, covs=covs, weights=weights)
-    except (NumericalError, DataError) as exc:
-        raise ModelFormatError(f"{path}: {exc}", field="components") from exc
-    label_map = ClusterLabelMap(labels=tuple(labels), confidence=tuple(confidences))
+    def stacked(key) -> list:
+        return [c[key] for c in components]
+
+    stats = _checked(path, "norm_mean/norm_std", lambda: NormalizationStats(
+        mean=head["norm_mean"], std=head["norm_std"]
+    ))
+    params = _checked(path, "weights/components", lambda: MixtureParams(
+        means=stacked("mean"),
+        covs=np.array(stacked("cov")).reshape(config.k, COORD_DIM, COORD_DIM),
+        weights=weights,
+    ))
+    label_map = _checked(path, "components", lambda: ClusterLabelMap(
+        labels=tuple(stacked("label")), confidence=tuple(stacked("confidence"))
+    ))
     return ModelFile(
-        covariance_mode=covariance_mode,
+        config=config,
         params=params,
         stats=stats,
         label_map=label_map,
-        seed=seed,
-        tol=tol,
-        iterations=iterations,
-        final_log_likelihood=final_ll,
-        silhouette=sil,
+        iterations=head["iterations"],
+        final_log_likelihood=head["final_log_likelihood"],
+        silhouette=head["silhouette"],
     )

@@ -20,7 +20,8 @@ COORD_DIM = 3
 STD_FLOOR = 1e-12
 
 # Separators of the text formats: a name holding one could not be read back.
-_NAME_BREAKERS = (",", "\n", "\r")
+# The files are split into lines by str.splitlines, which breaks at all but ",".
+_NAME_BREAKERS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -29,9 +30,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_names(source_id: str, label: str | None) -> None:
-    for field, name in (("source_id", source_id), ("label", label)):
-        if name is not None and any(c in name for c in _NAME_BREAKERS):
+def check_names(**names: str | None) -> None:
+    """Reject a name the text formats could not read back; None means no name."""
+    for field, name in names.items():
+        if name == "":  # an empty CSV cell reads back as no label
+            raise DataError(f"{field} is empty")
+        if name is not None and not _NAME_BREAKERS.isdisjoint(name):
             raise DataError(f"{field} {name!r} holds a comma or line break")
 
 
@@ -44,7 +48,7 @@ class GestureVideo:
     label: str | None = None
 
     def __post_init__(self):
-        _check_names(self.source_id, self.label)
+        check_names(source_id=self.source_id, label=self.label)
         frames = _freeze(self.frames)
         if frames.ndim != 3 or frames.shape[1:] != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
@@ -72,7 +76,7 @@ class FeatureMatrix:
     label: str | None = None
 
     def __post_init__(self):
-        _check_names(self.source_id, self.label)
+        check_names(source_id=self.source_id, label=self.label)
         rows = _freeze(self.rows)
         if rows.shape != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
@@ -107,8 +111,6 @@ class NormalizationStats:
 
 def compute_variances(video: GestureVideo) -> FeatureMatrix:
     """Reduce a video to per-landmark population variances (divisor = frame count)."""
-    if video.frame_count < 2:
-        raise DataError("variance is degenerate for fewer than 2 frames")
     rows = np.var(video.frames, axis=0)
     return FeatureMatrix(rows=rows, source_id=video.source_id, label=video.label)
 

@@ -67,18 +67,17 @@ def default_run():
     raw_rows = np.vstack([f.rows for f in features])
     stats = fit_normalization(raw_rows)
     data = apply_normalization(raw_rows, stats)
-    params, resp, trace = fit(data, EmConfig(k=4, seed=0))
+    config = EmConfig(k=4, seed=0)
+    params, resp, trace = fit(data, config)
     assignment = np.argmax(resp, axis=1)
     label_map = build_label_map(assignment, [f.label for f in features for _ in range(21)], 4)
     report = silhouette(data, assignment)
     train_seconds = time.perf_counter() - start
     model = ModelFile(
-        covariance_mode="full",
+        config=config,
         params=params,
         stats=stats,
         label_map=label_map,
-        seed=0,
-        tol=1e-6,
         iterations=trace.n_iters,
         final_log_likelihood=trace.log_likelihoods[-1],
         silhouette=report.overall,

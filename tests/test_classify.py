@@ -48,6 +48,13 @@ def first_vote(params, rows, stats=IDENTITY_STATS):
     return classify_video(feat, params, label_map, stats).votes[0]
 
 
+class TestClusterLabelMap:
+    @pytest.mark.parametrize("label", ["", "a,b", "wa\nve"])
+    def test_label_the_model_file_cannot_hold_rejected(self, label):
+        with pytest.raises(DataError):
+            ClusterLabelMap(labels=("wave", label), confidence=(1.0, 1.0))
+
+
 class TestVote:
     """Each row votes for its maximum-posterior component."""
 

@@ -6,7 +6,14 @@ import pytest
 
 from gesturemix import cli
 from gesturemix.cli import main
-from gesturemix import FeatureMatrix, compute_variances, default_profiles, generate_dataset
+from gesturemix import (
+    EmConfig,
+    FeatureMatrix,
+    compute_variances,
+    default_profiles,
+    generate_dataset,
+)
+from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.io import write_feature_csv, write_video
 
 
@@ -152,7 +159,10 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--k", "0"), ("--tol", "0"), ("--max-iters", "0"), ("--reg-eps", "-1")],
+        [
+            ("--k", "0"), ("--tol", "0"), ("--max-iters", "0"), ("--reg-eps", "-1"),
+            ("--seed", "-1"),
+        ],
     )
     def test_bad_em_flag_is_usage_error_before_input_is_read(self, tmp_path, capsys, flag, value):
         missing = tmp_path / "no-such-input"
@@ -162,6 +172,24 @@ class TestTrain:
         assert code == 1
         assert stderr.startswith("usage error:")
         assert not (tmp_path / "o").exists()
+
+    def test_em_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--input", "data"])
+        flags = EmConfig(
+            k=1, max_iters=args.max_iters, tol=args.tol, reg_eps=args.reg_eps,
+            seed=args.seed, covariance_mode=args.cov_mode,
+        )
+        assert flags == EmConfig(k=1)
+
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
+    def test_every_covariance_mode_trains(self, tmp_path, capsys, mode):
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        code, _, _ = run(
+            capsys, "train", "--input", str(tmp_path / "data"), "--output", str(tmp_path / "o"),
+            "--cov-mode", mode,
+        )
+        assert code == 0
+        assert f"covariance_mode={mode}" in (tmp_path / "o" / "model.gmm").read_text()
 
     def test_repeated_source_id_rejected_in_videos(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -240,6 +268,18 @@ class TestClassify:
         assert "seconds_" not in stdout
         (line,) = [l for l in stderr.splitlines() if l.startswith("seconds_total=")]
         assert float(line.split("=", 1)[1]) >= 0.05
+
+    def test_nan_weight_model_is_data_error(self, capsys, trained_dir):
+        data, out = trained_dir
+        model = out / "model.gmm"
+        lines = model.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("weights="))
+        lines[at] = "weights=nan," + lines[at].split(",", 1)[1]
+        model.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(capsys, "classify", "--model", str(model), "--input", str(data))
+        assert code == 2
+        assert stdout == ""
+        assert "field: weights" in stderr
 
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         code, _, stderr = run(

@@ -328,6 +328,11 @@ class TestValidation:
         with pytest.raises(DataError):
             mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([1.5, -0.5]))
 
+    def test_nan_weight_rejected(self):
+        # NaN fails no comparison, so it must be caught by one that it fails
+        with pytest.raises(DataError, match="weights"):
+            mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([np.nan, 1.0]))
+
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 1e-6
@@ -351,6 +356,8 @@ class TestValidation:
             dict(k=2, tol=0.0),
             dict(k=2, reg_eps=-1e-9),
             dict(k=2, covariance_mode="spherical"),
+            dict(k=2, reg_eps=float("nan")),
+            dict(k=2, seed=-1),
         ],
     )
     def test_bad_config_rejected(self, kwargs):

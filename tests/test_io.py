@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from gesturemix import (
+    ClusterLabelMap,
     DataError,
     EmConfig,
+    MixtureParams,
     ModelFormatError,
+    NormalizationStats,
     apply_normalization,
     build_label_map,
     classify_video,
@@ -19,6 +24,7 @@ from gesturemix import (
     generate_video,
     result_record,
 )
+from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.io import (
     FEATURE_CSV_HEADER,
     ModelFile,
@@ -40,16 +46,15 @@ def trained():
     features = [compute_variances(v) for v in videos]
     raw_rows = np.vstack([f.rows for f in features])
     stats = fit_normalization(raw_rows)
-    params, resp, trace = fit(apply_normalization(raw_rows, stats), EmConfig(k=4, seed=0))
+    config = EmConfig(k=4, seed=0)
+    params, resp, trace = fit(apply_normalization(raw_rows, stats), config)
     row_labels = [f.label for f in features for _ in range(21)]
     label_map = build_label_map(np.argmax(resp, axis=1), row_labels, params.k)
     model = ModelFile(
-        covariance_mode="full",
+        config=config,
         params=params,
         stats=stats,
         label_map=label_map,
-        seed=0,
-        tol=1e-6,
         iterations=trace.n_iters,
         final_log_likelihood=trace.log_likelihoods[-1],
         silhouette=0.5,
@@ -189,7 +194,7 @@ class TestModelFiles:
         save_model(model, path)
         back = load_model(path)
         assert back.params.k == model.params.k
-        assert back.covariance_mode == model.covariance_mode
+        assert back.config == model.config
         assert np.array_equal(back.stats.mean, model.stats.mean)
         assert np.array_equal(back.stats.std, model.stats.std)
         assert np.array_equal(back.params.weights, model.params.weights)
@@ -197,7 +202,6 @@ class TestModelFiles:
         assert np.array_equal(back.params.covs, model.params.covs)
         assert back.label_map.labels == model.label_map.labels
         assert back.label_map.confidence == model.label_map.confidence
-        assert back.tol == model.tol
         assert back.final_log_likelihood == model.final_log_likelihood
         assert back.silhouette == model.silhouette
 
@@ -245,7 +249,7 @@ class TestModelFiles:
         path = tmp_path / "m.gmm"
         save_model(model, path)
         lines = path.read_text().splitlines()
-        lines[0] = "gesture-gmm-model v2"
+        lines[0] = "gesture-gmm-model v1"
         bad = tmp_path / "bad.gmm"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match="version"):
@@ -313,9 +317,170 @@ class TestModelFiles:
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            save_model(replace(model, seed=7), path)
+            save_model(replace(model, config=replace(model.config, seed=7)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.gmm"]
+
+
+# A small fixed model and the exact v2 text it is saved as.
+SMALL_MODEL = ModelFile(
+    config=EmConfig(k=2),
+    params=MixtureParams(
+        means=[[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+        covs=[np.eye(3), np.diag([2.0, 3.0, 4.0])],
+        weights=[0.25, 0.75],
+    ),
+    stats=NormalizationStats(mean=np.array([0.1, 0.2, 0.3]), std=np.array([1.0, 2.0, 4.0])),
+    label_map=ClusterLabelMap(labels=("wave", "pick"), confidence=(1.0, 0.5)),
+    iterations=7,
+    final_log_likelihood=-12.5,
+    silhouette=0.625,
+)
+SMALL_MODEL_TEXT = """\
+gesture-gmm-model v2
+k=2
+covariance_mode=full
+seed=0
+tol=9.9999999999999995e-07
+max_iters=500
+reg_eps=9.9999999999999995e-07
+iterations=7
+final_log_likelihood=-12.5
+silhouette=0.625
+norm_mean=0.10000000000000001,0.20000000000000001,0.29999999999999999
+norm_std=1,2,4
+weights=0.25,0.75
+component=0
+label=wave
+confidence=1
+mean=0,0,0
+cov=1,0,0,0,1,0,0,0,1
+component=1
+label=pick
+confidence=0.5
+mean=1,2,3
+cov=2,0,0,0,3,0,0,0,4
+end
+"""
+
+
+@pytest.fixture(scope="module")
+def scratch_model_path(tmp_path_factory):
+    """One file that each generated example overwrites."""
+    return tmp_path_factory.mktemp("models") / "model.gmm"
+
+
+@st.composite
+def one_line_mutations(draw):
+    """SMALL_MODEL_TEXT with one line's value or cell replaced, or one line deleted or doubled."""
+    lines = SMALL_MODEL_TEXT.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("value", "cell", "delete", "duplicate")))
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    else:
+        token = draw(st.sampled_from(("nan", "inf", "-inf", "x", "")))
+        key, sep, value = lines[at].partition("=")
+        if kind == "cell" and sep:
+            cells = value.split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = token
+            token = ",".join(cells)
+        lines[at] = f"{key}={token}" if sep else token
+    return "\n".join(lines) + "\n"
+
+
+floats_01 = st.floats(min_value=0.0, max_value=1.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def model_files(draw):
+    """Any ModelFile the constructors accept: SPD covariances, normalized weights, free text."""
+    k = draw(st.integers(1, 4))
+    config = EmConfig(
+        k=k,
+        max_iters=draw(st.integers(1, 10**9)),
+        tol=draw(st.floats(min_value=0.0, exclude_min=True)),
+        reg_eps=draw(st.floats(min_value=0.0)),
+        seed=draw(st.integers(0, 2**70)),
+        covariance_mode=draw(st.sampled_from(COVARIANCE_MODES)),
+    )
+    vectors = st.lists(finite, min_size=3, max_size=3)
+    factors = np.array(draw(st.lists(
+        st.lists(st.floats(-10.0, 10.0), min_size=9, max_size=9), min_size=k, max_size=k
+    ))).reshape(k, 3, 3)
+    covs = factors @ factors.transpose(0, 2, 1) + np.eye(3)
+    raw_weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    try:
+        return ModelFile(
+            config=config,
+            params=MixtureParams(
+                means=draw(st.lists(vectors, min_size=k, max_size=k)),
+                covs=(covs + covs.transpose(0, 2, 1)) / 2,
+                weights=raw_weights / raw_weights.sum(),
+            ),
+            stats=NormalizationStats(
+                mean=np.array(draw(vectors)),
+                std=np.array(draw(st.lists(
+                    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=3, max_size=3,
+                ))),
+            ),
+            label_map=ClusterLabelMap(
+                labels=tuple(draw(st.lists(st.text(min_size=1), min_size=k, max_size=k))),
+                confidence=tuple(draw(st.lists(floats_01, min_size=k, max_size=k))),
+            ),
+            iterations=draw(st.integers(0, 10**9)),
+            final_log_likelihood=draw(st.floats()),
+            silhouette=draw(st.floats()),
+        )
+    except DataError:  # a label the text formats cannot hold
+        reject()
+
+
+class TestModelFormat:
+    def test_small_model_golden_bytes(self, tmp_path):
+        path = tmp_path / "m.gmm"
+        save_model(SMALL_MODEL, path)
+        assert path.read_text() == SMALL_MODEL_TEXT
+
+    def test_nan_weight_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.gmm"
+        path.write_text(SMALL_MODEL_TEXT.replace("weights=0.25,0.75", "weights=nan,0.75"))
+        with pytest.raises(ModelFormatError, match="weights") as excinfo:
+            load_model(path)
+        assert "weights" in excinfo.value.field
+
+    def test_non_finite_norm_std_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.gmm"
+        path.write_text(SMALL_MODEL_TEXT.replace("norm_std=1,", "norm_std=nan,"))
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert "norm_std" in excinfo.value.field
+
+    def test_k_disagreeing_with_the_mixture_rejected(self):
+        with pytest.raises(DataError, match="k=3"):
+            replace(SMALL_MODEL, config=EmConfig(k=3))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=one_line_mutations())
+    def test_one_line_mutation_loads_or_is_a_format_error(self, text, scratch_model_path):
+        scratch_model_path.write_text(text)
+        try:
+            load_model(scratch_model_path)
+        except ModelFormatError:
+            pass
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(model=model_files())
+    def test_save_load_save_is_byte_identical(self, model, scratch_model_path):
+        save_model(model, scratch_model_path)
+        first = scratch_model_path.read_bytes()
+        save_model(load_model(scratch_model_path), scratch_model_path)
+        assert scratch_model_path.read_bytes() == first
 
 
 class TestPlotExport:
