@@ -80,6 +80,8 @@ def cmd_synth(args) -> int:
         raise UsageError("--frames must be at least 2")
     if args.videos_per_profile < 1:
         raise UsageError("--videos-per-profile must be at least 1")
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise UsageError("--seed must be non-negative")
     out = Path(args.output)
     videos = generate_dataset(
         default_profiles(),

@@ -35,6 +35,21 @@ def _parse_float(text: str, where: str) -> float:
         raise DataError(f"non-numeric value {text!r} in {where}") from exc
 
 
+def _parse_floats(cells: list[str], where) -> list[float]:
+    """The cells as floats. `where()` names the line for the error and is
+    called only when a cell does not parse."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        place = where()
+        return [_parse_float(c, place) for c in cells]  # raises on the first bad cell
+
+
+# Row templates: each value written as _fmt writes it, one % per row.
+_FRAME_ROW = ",".join(["%.17g"] * (LANDMARK_COUNT * COORD_DIM))
+_VARIANCE_ROW = ",".join(["%.17g"] * COORD_DIM)
+
+
 # ---------------------------------------------------------------------------
 # Landmark video files
 
@@ -43,8 +58,8 @@ def write_video(video: GestureVideo, path) -> None:
     lines = [VIDEO_MAGIC, f"source_id={video.source_id}"]
     if video.label is not None:
         lines.append(f"label={video.label}")
-    for frame in video.frames:
-        lines.append(",".join(_fmt(v) for v in frame.ravel()))
+    frames = video.frames.reshape(video.frame_count, -1).tolist()
+    lines += [_FRAME_ROW % tuple(frame) for frame in frames]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -61,7 +76,7 @@ def read_video(path) -> GestureVideo:
     if len(lines) > 2 and lines[2].startswith("label="):
         label = lines[2][len("label="):]
         body = 3
-    frames = []
+    values: list[float] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
         if not line.strip():
             continue
@@ -70,11 +85,11 @@ def read_video(path) -> GestureVideo:
             raise DataError(
                 f"{path}:{lineno}: expected {LANDMARK_COUNT * COORD_DIM} values, got {len(cells)}"
             )
-        values = [_parse_float(c, f"{path}:{lineno}") for c in cells]
-        frames.append(np.array(values).reshape(LANDMARK_COUNT, COORD_DIM))
+        values += _parse_floats(cells, lambda: f"{path}:{lineno}")
+    frames = np.array(values).reshape(-1, LANDMARK_COUNT, COORD_DIM)
     if len(frames) < 2:
         raise DataError(f"{path}: video holds {len(frames)} frames, need at least 2")
-    return GestureVideo(frames=np.stack(frames), source_id=source_id, label=label)
+    return GestureVideo(frames=frames, source_id=source_id, label=label)
 
 
 def read_video_dir(path) -> list[GestureVideo]:
@@ -100,9 +115,8 @@ def write_feature_csv(features: Sequence[FeatureMatrix], path) -> None:
     lines = [FEATURE_CSV_HEADER]
     for feat in features:
         label = feat.label if feat.label is not None else ""
-        for lm in range(LANDMARK_COUNT):
-            vx, vy, vz = (_fmt(v) for v in feat.rows[lm])
-            lines.append(f"{lm + 1},{vx},{vy},{vz},{feat.source_id},{label}")
+        for lm, row in enumerate(feat.rows.tolist(), start=1):
+            lines.append(f"{lm},{_VARIANCE_ROW % tuple(row)},{feat.source_id},{label}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -130,7 +144,7 @@ def read_feature_csv(path) -> list[FeatureMatrix]:
                 raise DataError(
                     f"{path}: row {start + offset + 2} has lm={cells[0]}, expected {offset + 1}"
                 )
-            matrix[offset] = [_parse_float(c, f"{path} row {start + offset + 2}") for c in cells[1:4]]
+            matrix[offset] = _parse_floats(cells[1:4], lambda: f"{path} row {start + offset + 2}")
             if source_id is None:
                 source_id = cells[4]
                 label = cells[5] if cells[5] else None
@@ -157,9 +171,7 @@ def export_plot_data(rows, groups, path) -> None:
     if len(groups) != x.shape[0]:
         raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
     lines = [PLOT_HEADER]
-    for row, group in zip(x, groups):
-        vx, vy, vz = (_fmt(v) for v in row)
-        lines.append(f"{vx},{vy},{vz},{group}")
+    lines += [f"{_VARIANCE_ROW % tuple(row)},{group}" for row, group in zip(x.tolist(), groups)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

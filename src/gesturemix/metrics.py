@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DataError
 
-# Rows of the distance matrix held at once: memory grows with this times N,
-# not with N squared.
+# Rows of the distance matrix held at once: the block and one scratch buffer
+# are each (B, N), so memory grows with this times N, not with N squared.
 _BLOCK_ROWS = 256
 
 
@@ -43,28 +43,52 @@ def silhouette(data, assignment) -> SilhouetteReport:
         raise DataError("one cluster index per data point required")
     if n < 3:
         raise DataError("silhouette needs at least 3 points")
-    clusters = np.unique(labels)
+    clusters, index = np.unique(labels, return_inverse=True)
     if clusters.size < 2:
         raise DataError("silhouette needs at least 2 distinct clusters")
 
-    members = {int(c): np.nonzero(labels == c)[0] for c in clusters}
-    per_point = np.zeros(n)
+    # Columns sorted by cluster, stably, so every cluster is one slice
+    # [bounds[c], bounds[c + 1]) holding its members in their original order.
+    order = np.argsort(index, kind="stable")
+    counts = np.bincount(index)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    x_sorted = x[order]
+    columns = [np.ascontiguousarray(x_sorted[:, j]) for j in range(x.shape[1])]
+    dist_buffer = np.empty((_BLOCK_ROWS, n))
+    square_buffer = np.empty((_BLOCK_ROWS, n))
+    scores = np.zeros(n)  # in sorted order
     for start in range(0, n, _BLOCK_ROWS):
-        diff = x[start:start + _BLOCK_ROWS, None, :] - x[None, :, :]
-        dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
-        for i in range(start, start + dist.shape[0]):
-            own = int(labels[i])
-            mates = members[own]
-            if mates.size == 1:
-                per_point[i] = 0.0  # singleton cluster convention
-                continue
-            row = dist[i - start]
-            a = row[mates[mates != i]].mean()
-            b = min(row[members[int(c)]].mean() for c in clusters if int(c) != own)
-            denom = max(a, b)
-            per_point[i] = 0.0 if denom == 0.0 else (b - a) / denom
+        stop = min(start + _BLOCK_ROWS, n)
+        block = x_sorted[start:stop]
+        dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
+        # squared coordinate differences added x, then y, then z: the order a
+        # sum over the last axis of a (B, N, 3) difference tensor adds them in
+        np.square(np.subtract.outer(block[:, 0], columns[0], out=dist), out=dist)
+        for j in range(1, len(columns)):
+            dist += np.square(np.subtract.outer(block[:, j], columns[j], out=square), out=square)
+        np.sqrt(dist, out=dist)
+        # mean distance of every block row to every cluster; a row sum over a
+        # cluster's slice adds the same values in the same order as mean() over
+        # its gathered members, so a and b are bit-identical to the definition
+        to_cluster = np.column_stack(
+            [dist[:, lo:hi].sum(axis=1) / m for lo, hi, m in zip(bounds, bounds[1:], counts)]
+        )
+        for c, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], counts)):
+            first, last = max(lo, start), min(hi, stop)
+            if first >= last or m == 1:
+                continue  # no rows in this block, or the singleton convention (0)
+            rows = slice(first - start, last - start)
+            own = dist[rows, lo:hi]
+            others = np.ones(own.shape, dtype=bool)
+            others[np.arange(last - first), np.arange(first - lo, last - lo)] = False  # self columns
+            a = own[others].reshape(last - first, m - 1).sum(axis=1) / (m - 1)
+            b = np.delete(to_cluster[rows], c, axis=1).min(axis=1)
+            denom = np.maximum(a, b)
+            np.divide(b - a, denom, out=scores[first:last], where=denom != 0.0)
 
-    per_cluster_mean = np.array([per_point[members[int(c)]].mean() for c in clusters])
+    per_point = np.empty(n)
+    per_point[order] = scores
+    per_cluster_mean = np.array([scores[lo:hi].mean() for lo, hi in zip(bounds, bounds[1:])])
     return SilhouetteReport(
         overall=float(per_point.mean()),
         per_point=per_point,

@@ -36,3 +36,34 @@ def brute_force_silhouette(data, assignment):
         denom = max(a, b)
         scores.append(0.0 if denom == 0.0 else (b - a) / denom)
     return scores
+
+
+def per_point_silhouette(data, assignment, block_rows=256):
+    """The silhouette point by point, as the package first computed it.
+
+    Distances come from a (B, N, d) difference tensor, `block_rows` rows at a
+    time; each point's a and b are means over its gathered cluster members.
+    Returns (per_point, clusters, per_cluster_mean); the overall score is
+    per_point.mean().
+    """
+    x = np.asarray(data, dtype=np.float64)
+    labels = np.asarray(assignment)
+    n = len(x)
+    clusters = np.unique(labels)
+    members = {int(c): np.nonzero(labels == c)[0] for c in clusters}
+    per_point = np.zeros(n)
+    for start in range(0, n, block_rows):
+        diff = x[start:start + block_rows, None, :] - x[None, :, :]
+        dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+        for i in range(start, start + dist.shape[0]):
+            own = int(labels[i])
+            mates = members[own]
+            if mates.size == 1:
+                continue  # singleton cluster: 0
+            row = dist[i - start]
+            a = row[mates[mates != i]].mean()
+            b = min(row[members[int(c)]].mean() for c in clusters if int(c) != own)
+            denom = max(a, b)
+            per_point[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    per_cluster_mean = np.array([per_point[members[int(c)]].mean() for c in clusters])
+    return per_point, clusters, per_cluster_mean

@@ -91,6 +91,14 @@ class TestSynth:
         assert "frames" in stderr
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error_before_anything_is_written(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        code, stdout, stderr = run(capsys, "synth", "--output", str(out), "--seed", "-1")
+        assert code == 1
+        assert stderr.startswith("usage error:") and "--seed" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_reports_and_writes_model(self, tmp_path, capsys):

@@ -96,11 +96,30 @@ class TestVideoFiles:
             read_video(path)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
-        row = ",".join(["0.0"] * 62 + ["abc"])
+        good = ",".join(["0.0"] * 63)
+        bad = ",".join(["0.0"] * 60 + ["1e", "0.0", "abc"])
         path = tmp_path / "bad.landmarks"
-        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{row}\n{row}\n")
-        with pytest.raises(DataError, match="non-numeric"):
+        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n{bad}\n{bad}\n")
+        with pytest.raises(DataError, match="non-numeric") as excinfo:
             read_video(path)
+        assert str(excinfo.value) == f"non-numeric value '1e' in {path}:4"
+
+    def test_golden_bytes(self, tmp_path):
+        from gesturemix import GestureVideo
+
+        frames = np.full((2, 21, 3), 0.1)
+        frames[0, -1] = [1 / 3, -0.0, 1e-300]
+        frames[1] = 2.5
+        frames[1, -1] = [123456789.125, -7.0, 5e-324]
+        path = tmp_path / "g.landmarks"
+        write_video(GestureVideo(frames=frames, source_id="g1", label="wave"), path)
+        assert path.read_text() == (
+            "gesture-landmarks v1\nsource_id=g1\nlabel=wave\n"
+            + ",".join(["0.10000000000000001"] * 60 + ["0.33333333333333331", "-0", "1e-300"])
+            + "\n"
+            + ",".join(["2.5"] * 60 + ["123456789.125", "-7", "4.9406564584124654e-324"])
+            + "\n"
+        )
 
     def test_directory_reader_sorts_by_filename(self, tmp_path):
         for name in ("b", "a", "c"):
@@ -144,6 +163,25 @@ class TestFeatureCsv:
             assert loaded.source_id == orig.source_id
             assert loaded.label == orig.label
 
+    def test_golden_bytes(self, tmp_path):
+        from gesturemix import FeatureMatrix
+
+        rows = np.full((21, 3), 0.1)
+        rows[0] = [1 / 3, -0.0, 1e-300]
+        rows[20] = [123456789.125, 7.0, 5e-324]
+        features = [
+            FeatureMatrix(rows=rows, source_id="v1", label="wave"),
+            FeatureMatrix(rows=np.full((21, 3), 2.5), source_id="v2"),
+        ]
+        path = tmp_path / "g.csv"
+        write_feature_csv(features, path)
+        tenth = "0.10000000000000001"
+        expected = [FEATURE_CSV_HEADER, "1,0.33333333333333331,-0,1e-300,v1,wave"]
+        expected += [f"{lm},{tenth},{tenth},{tenth},v1,wave" for lm in range(2, 21)]
+        expected += ["21,123456789.125,7,4.9406564584124654e-324,v1,wave"]
+        expected += [f"{lm},2.5,2.5,2.5,v2," for lm in range(1, 22)]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
     def test_empty_list_round_trips(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_feature_csv([], path)
@@ -161,8 +199,9 @@ class TestFeatureCsv:
         path = tmp_path / "bad.csv"
         rows = [f"{i + 1},0.0,oops,0.0,v0,wave" for i in range(21)]
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError, match="non-numeric"):
+        with pytest.raises(DataError, match="non-numeric") as excinfo:
             read_feature_csv(path)
+        assert str(excinfo.value) == f"non-numeric value 'oops' in {path} row 2"
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -494,6 +533,15 @@ class TestPlotExport:
         assert lines[0] == "var_x,var_y,var_z,group"
         assert len(lines) - 1 == 84
         assert len({line.rsplit(",", 1)[1] for line in lines[1:]}) == 4
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "plot.csv"
+        export_plot_data([[1 / 3, -0.0, 1e-300], [2.5, 7.0, 5e-324]], ["wave", "push"], path)
+        assert path.read_text() == (
+            "var_x,var_y,var_z,group\n"
+            "0.33333333333333331,-0,1e-300,wave\n"
+            "2.5,7,4.9406564584124654e-324,push\n"
+        )
 
     def test_empty_export(self, tmp_path):
         path = tmp_path / "plot.csv"

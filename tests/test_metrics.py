@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gesturemix import DataError, silhouette
-from oracles import brute_force_silhouette
+from oracles import brute_force_silhouette, per_point_silhouette
 
 
 def test_coincident_far_clusters_score_one():
@@ -117,3 +119,75 @@ def test_memory_stays_linear_in_rows():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def _assert_same_as_per_point_loop(data, assignment):
+    report = silhouette(data, assignment)
+    per_point, clusters, per_cluster_mean = per_point_silhouette(data, assignment)
+    assert np.array_equal(report.per_point, per_point)
+    assert report.overall == per_point.mean()
+    assert np.array_equal(report.clusters, clusters)
+    assert np.array_equal(report.per_cluster_mean, per_cluster_mean)
+
+
+class TestBitIdenticalToPerPointLoop:
+    """The cluster-sorted row sums add the same distances in the same order as
+    the per-point definition, so every score is equal, not merely close."""
+
+    @pytest.mark.parametrize("n", [257, 600, 3000])
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_interleaved_assignments_across_block_boundaries(self, n, k):
+        rng = np.random.default_rng(n + k)
+        data = rng.normal(size=(n, 3)) * np.array([1.0, 1e3, 1e-3])
+        _assert_same_as_per_point_loop(data, rng.integers(0, k, size=n))
+
+    def test_non_contiguous_cluster_ids(self):
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(600, 3))
+        _assert_same_as_per_point_loop(data, rng.choice([-4, 3, 17, 1000], size=600))
+
+    def test_clusters_missing_from_a_block(self):
+        # sorted by cluster, rows 256-511 all belong to the middle cluster
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(600, 3))
+        assignment = np.array([2] * 10 + [0] * 580 + [1] * 10)
+        rng.shuffle(assignment)
+        _assert_same_as_per_point_loop(data, assignment)
+
+    def test_singleton_clusters(self):
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(600, 3))
+        assignment = rng.integers(0, 3, size=600)
+        assignment[[5, 300, 599]] = [7, 8, 9]
+        report = silhouette(data, assignment)
+        assert np.all(report.per_point[[5, 300, 599]] == 0.0)
+        _assert_same_as_per_point_loop(data, assignment)
+
+    def test_duplicate_points(self):
+        # a cluster of coincident points next to one at the same place: a = b = 0
+        rng = np.random.default_rng(14)
+        data = np.vstack([np.ones((300, 3)), rng.normal(size=(300, 3))])
+        assignment = np.concatenate([rng.integers(0, 2, size=300), rng.integers(2, 4, size=300)])
+        report = silhouette(data, assignment)
+        assert np.all(report.per_point[:300] == 0.0)
+        _assert_same_as_per_point_loop(data, assignment)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+            st.integers(0, 3),
+        ),
+        min_size=3,
+        max_size=30,
+    )
+)
+def test_matches_brute_force_on_small_inputs(points):
+    data = np.array([p for p, _ in points])
+    assignment = np.array([c for _, c in points])
+    assume(len(np.unique(assignment)) >= 2)
+    report = silhouette(data, assignment)
+    oracle = brute_force_silhouette(data, assignment)
+    assert np.allclose(report.per_point, oracle, atol=1e-12, rtol=0)
