@@ -177,10 +177,9 @@ def cmd_classify(args) -> int:
     for result in results:
         print(result_record(result, model.label_map))
 
-    labeled = [(r, f.label) for r, f in zip(results, features) if f.label is not None]
-    if labeled and len(labeled) == len(results):
-        correct = sum(1 for r, truth in labeled if r.winner == truth)
-        print(f"accuracy={correct / len(labeled):.4f} correct={correct} total={len(labeled)}")
+    if all(f.label is not None for f in features):
+        correct = sum(r.winner == f.label for r, f in zip(results, features))
+        print(f"accuracy={correct / len(results):.4f} correct={correct} total={len(results)}")
     for result in results:
         print(f"action {result.source_id} {_action_for(result.winner)}")
 

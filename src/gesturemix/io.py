@@ -1,8 +1,9 @@
 """Versioned text formats: landmark videos, feature CSVs, trained models, plot data.
 
 All floats are serialized with 17 significant digits so every round trip is
-bit-exact. Loading re-checks the invariants of whatever it constructs and
-rejects anything out of contract with an error naming the offending field.
+bit-exact. A reader checks only the layout of its file; every range, shape
+and name rule is checked by the object it builds, and `_checked` adds the
+file and line (or model field) to that object's error.
 """
 
 import os
@@ -43,6 +44,17 @@ def _parse_floats(cells: list[str], where) -> list[float]:
     except ValueError:
         place = where()
         return [_parse_float(c, place) for c in cells]  # raises on the first bad cell
+
+
+def _checked(where, make, field: str | None = None):
+    """make(), with the error of what it builds reported against `where`: a
+    ModelFormatError naming `field` when one is given, else a DataError."""
+    try:
+        return make()
+    except (ValueError, NumericalError) as exc:
+        if field is not None:
+            raise ModelFormatError(f"{where}: {exc}", field=field) from exc
+        raise DataError(f"{where}: {exc}") from exc
 
 
 # Row templates: each value written as _fmt writes it, one % per row.
@@ -87,9 +99,8 @@ def read_video(path) -> GestureVideo:
             )
         values += _parse_floats(cells, lambda: f"{path}:{lineno}")
     frames = np.array(values).reshape(-1, LANDMARK_COUNT, COORD_DIM)
-    if len(frames) < 2:
-        raise DataError(f"{path}: video holds {len(frames)} frames, need at least 2")
-    return GestureVideo(frames=frames, source_id=source_id, label=label)
+    # GestureVideo looked up when called, so a wrapper set on this module sees it
+    return _checked(path, lambda: GestureVideo(frames=frames, source_id=source_id, label=label))
 
 
 def read_video_dir(path) -> list[GestureVideo]:
@@ -125,7 +136,8 @@ def read_feature_csv(path) -> list[FeatureMatrix]:
     lines = path.read_text().splitlines()
     if not lines or lines[0] != FEATURE_CSV_HEADER:
         raise DataError(f"{path}: missing '{FEATURE_CSV_HEADER}' header")
-    rows = [line for line in lines[1:] if line.strip()]
+    # (physical line number, text) of each data row; blank lines are skipped but counted
+    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) % LANDMARK_COUNT != 0:
         raise DataError(
             f"{path}: {len(rows)} data rows is not a multiple of {LANDMARK_COUNT}"
@@ -134,27 +146,19 @@ def read_feature_csv(path) -> list[FeatureMatrix]:
     for start in range(0, len(rows), LANDMARK_COUNT):
         block = rows[start:start + LANDMARK_COUNT]
         matrix = np.empty((LANDMARK_COUNT, COORD_DIM))
-        source_id = None
-        label: str | None = None
-        for offset, line in enumerate(block):
+        first = block[0][1].split(",")
+        for offset, (lineno, line) in enumerate(block):
             cells = line.split(",")
             if len(cells) != 6:
-                raise DataError(f"{path}: row {start + offset + 2} has {len(cells)} cells, expected 6")
+                raise DataError(f"{path}: row {lineno} has {len(cells)} cells, expected 6")
             if cells[0] != str(offset + 1):
-                raise DataError(
-                    f"{path}: row {start + offset + 2} has lm={cells[0]}, expected {offset + 1}"
-                )
-            matrix[offset] = _parse_floats(cells[1:4], lambda: f"{path} row {start + offset + 2}")
-            if source_id is None:
-                source_id = cells[4]
-                label = cells[5] if cells[5] else None
-            elif cells[4] != source_id:
-                raise DataError(
-                    f"{path}: source_id changes mid-video at row {start + offset + 2}"
-                )
-        if np.any(np.isnan(matrix)):
-            raise DataError(f"{path}: NaN feature value for {source_id!r}")
-        features.append(FeatureMatrix(rows=matrix, source_id=source_id, label=label))
+                raise DataError(f"{path}: row {lineno} has lm={cells[0]}, expected {offset + 1}")
+            if cells[4:] != first[4:]:
+                raise DataError(f"{path}: source_id or label changes mid-video at row {lineno}")
+            matrix[offset] = _parse_floats(cells[1:4], lambda: f"{path} row {lineno}")
+        features.append(_checked(f"{path} row {block[0][0]}", lambda: FeatureMatrix(
+            rows=matrix, source_id=first[4], label=first[5] or None
+        )))
     return features
 
 
@@ -251,14 +255,6 @@ def save_model(model: ModelFile, path) -> None:
         partial.unlink(missing_ok=True)
 
 
-def _checked(path: Path, field: str, make):
-    """make(), with the range or shape error of what it builds reported against the file."""
-    try:
-        return make()
-    except (ValueError, NumericalError) as exc:
-        raise ModelFormatError(f"{path}: {exc}", field=field) from exc
-
-
 def load_model(path) -> ModelFile:
     """Read a model file back. The loader checks the key sequence, the component
     indices, the weight sum and the `end` sentinel; every range and shape check
@@ -288,10 +284,10 @@ def load_model(path) -> ModelFile:
         return values
 
     head = read(_HEADER_KEYS)
-    config = _checked(path, "config", lambda: EmConfig(
+    config = _checked(path, lambda: EmConfig(
         k=head["k"], covariance_mode=head["covariance_mode"], seed=head["seed"],
         tol=head["tol"], max_iters=head["max_iters"], reg_eps=head["reg_eps"],
-    ))
+    ), "config")
     weights = head["weights"]
     weight_sum = float(weights.sum())
     if abs(weight_sum - 1.0) > 1e-9:
@@ -316,17 +312,17 @@ def load_model(path) -> ModelFile:
     def stacked(key) -> list:
         return [c[key] for c in components]
 
-    stats = _checked(path, "norm_mean/norm_std", lambda: NormalizationStats(
+    stats = _checked(path, lambda: NormalizationStats(
         mean=head["norm_mean"], std=head["norm_std"]
-    ))
-    params = _checked(path, "weights/components", lambda: MixtureParams(
+    ), "norm_mean/norm_std")
+    params = _checked(path, lambda: MixtureParams(
         means=stacked("mean"),
         covs=np.array(stacked("cov")).reshape(config.k, COORD_DIM, COORD_DIM),
         weights=weights,
-    ))
-    label_map = _checked(path, "components", lambda: ClusterLabelMap(
+    ), "weights/components")
+    label_map = _checked(path, lambda: ClusterLabelMap(
         labels=tuple(stacked("label")), confidence=tuple(stacked("confidence"))
-    ))
+    ), "components")
     return ModelFile(
         config=config,
         params=params,

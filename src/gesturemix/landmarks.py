@@ -83,7 +83,7 @@ class FeatureMatrix:
                 f"feature matrix must be {LANDMARK_COUNT}x{COORD_DIM}, got {rows.shape}"
             )
         if not np.all(np.isfinite(rows)):
-            raise DataError(f"non-finite feature value in {self.source_id!r}")
+            raise DataError(f"NaN or infinite feature value in {self.source_id!r}")
         if np.any(rows < 0):
             raise DataError(f"negative variance in {self.source_id!r}")
         object.__setattr__(self, "rows", rows)

@@ -2,6 +2,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from gesturemix import cli
@@ -9,6 +10,7 @@ from gesturemix.cli import main
 from gesturemix import (
     EmConfig,
     FeatureMatrix,
+    GestureVideo,
     compute_variances,
     default_profiles,
     generate_dataset,
@@ -215,6 +217,30 @@ class TestTrain:
         code, _, stderr = run(capsys, "train", "--input", str(csv), "--output", str(tmp_path / "o"))
         assert code == 2
         assert "more than once" in stderr
+
+    def test_covariance_collapse_is_numerical_failure(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("a", "b"):  # constant frames: every variance is 0
+            video = GestureVideo(frames=np.zeros((5, 21, 3)), source_id=name, label=name)
+            write_video(video, data / f"{name}.landmarks")
+        out = tmp_path / "o"
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(data), "--output", str(out), "--reg-eps", "0"
+        )
+        assert code == 3
+        assert stderr.startswith("numerical failure: ")
+        assert stdout == ""
+        assert not (out / "model.gmm").exists()
+
+    def test_missing_input_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(missing), "--output", str(tmp_path / "o")
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"input {missing} is neither a directory nor a file" in stderr
 
 
 class TestClassify:

@@ -318,6 +318,28 @@ class TestReseed:
         assert abs(reseeded.weights.sum() - 1.0) <= 1e-12
         assert reseeded.weights[1] > 0
 
+    @pytest.fixture()
+    def stranded_start(self, monkeypatch):
+        """fit() starting with component 1 at (50, 50, 50), where no point gives it mass."""
+        from gesturemix import gmm
+
+        stranded = mixture([np.zeros(3), np.full(3, 50.0)], [np.eye(3)] * 2)
+        monkeypatch.setattr(gmm, "initialize", lambda data, config: stranded)
+        return np.random.default_rng(13).normal(size=(60, 3), scale=0.2)
+
+    def test_fit_reseeds_an_empty_component_and_converges(self, stranded_start):
+        params, resp, trace = fit(stranded_start, EmConfig(k=2, seed=0))
+        assert trace.reseeds == [(0, 1)]
+        assert trace.converged
+        assert np.all(resp.sum(axis=0) >= 1e-10)
+
+    def test_fit_stops_after_the_reseed_cap(self, stranded_start, monkeypatch):
+        from gesturemix import gmm
+
+        monkeypatch.setattr(gmm, "_reseed_component", lambda x, params, k, config: params)
+        with pytest.raises(NumericalError, match="component 1 stayed empty after 3 reseeds"):
+            fit(stranded_start, EmConfig(k=2, seed=0))
+
 
 class TestValidation:
     def test_weights_must_sum_to_one(self):

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gesturemix import (
     ClusterLabelMap,
     DataError,
     EmConfig,
+    FeatureMatrix,
+    GestureVideo,
     MixtureParams,
     ModelFormatError,
     NormalizationStats,
@@ -25,6 +28,7 @@ from gesturemix import (
     result_record,
 )
 from gesturemix.gmm import COVARIANCE_MODES
+from gesturemix.landmarks import _NAME_BREAKERS
 from gesturemix.io import (
     FEATURE_CSV_HEADER,
     ModelFile,
@@ -103,6 +107,41 @@ class TestVideoFiles:
         with pytest.raises(DataError, match="non-numeric") as excinfo:
             read_video(path)
         assert str(excinfo.value) == f"non-numeric value '1e' in {path}:4"
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        good = ",".join(["0.5"] * 63)
+        path = tmp_path / "gap.landmarks"
+        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n\n{good}\n\n1,2\n")
+        with pytest.raises(DataError) as excinfo:
+            read_video(path)
+        assert str(excinfo.value) == f"{path}:7: expected 63 values, got 2"
+        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n\n{good}\n")
+        assert read_video(path).frame_count == 2
+
+    def test_one_frame_video_names_the_file(self, tmp_path):
+        path = tmp_path / "short.landmarks"
+        path.write_text("gesture-landmarks v1\nsource_id=x\n" + ",".join(["0.5"] * 63) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_video(path)
+        assert str(excinfo.value) == f"{path}: a gesture video needs at least 2 frames"
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_coordinate_names_the_file(self, tmp_path, cell):
+        good = ",".join(["0.5"] * 63)
+        path = tmp_path / "inf.landmarks"
+        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n{cell},{good[4:]}\n")
+        with pytest.raises(DataError) as excinfo:
+            read_video(path)
+        assert str(excinfo.value) == f"{path}: non-finite landmark coordinate in 'x'"
+
+    @pytest.mark.parametrize("key, value", [("source_id", "v"), ("label", "wave")])
+    def test_empty_name_names_the_file(self, tmp_path, key, value):
+        path = tmp_path / "v.landmarks"
+        write_video(generate_video(default_profiles()[0], frames=3, seed=1, source_id="v"), path)
+        path.write_text(path.read_text().replace(f"\n{key}={value}\n", f"\n{key}=\n"))
+        with pytest.raises(DataError) as excinfo:
+            read_video(path)
+        assert str(excinfo.value) == f"{path}: {key} is empty"
 
     def test_golden_bytes(self, tmp_path):
         from gesturemix import GestureVideo
@@ -224,6 +263,47 @@ class TestFeatureCsv:
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
         with pytest.raises(DataError, match="source_id"):
             read_feature_csv(path)
+
+    def test_label_change_mid_block_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,{'wave' if i < 10 else 'push'}" for i in range(21)]
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == f"{path}: source_id or label changes mid-video at row 12"
+
+    @pytest.mark.parametrize("cells", [5, 7])
+    def test_wrong_cell_count_rejected(self, tmp_path, cells):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
+        rows[3] = ",".join(rows[3].split(",")[:cells] + ["x"] * (cells - 6))
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == f"{path}: row 5 has {cells} cells, expected 6"
+
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "NaN or infinite feature value"),
+        ("1e999", "NaN or infinite feature value"),
+        ("-1", "negative variance"),
+    ])
+    def test_out_of_range_variance_names_file_and_row(self, tmp_path, cell, message):
+        path = tmp_path / "bad.csv"
+        rows = [f"{i % 21 + 1},0.0,0.0,0.0,v{i // 21},wave" for i in range(42)]
+        rows[30] = f"10,0.0,{cell},0.0,v1,wave"
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == f"{path} row 23: {message} in 'v1'"
+
+    def test_rows_are_numbered_by_physical_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
+        rows[10] = "11,0.0,oops,0.0,v0,wave"
+        path.write_text("\n".join([FEATURE_CSV_HEADER, "", ""] + rows) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == f"non-numeric value 'oops' in {path} row 14"
 
 
 class TestModelFiles:
@@ -520,6 +600,139 @@ class TestModelFormat:
         first = scratch_model_path.read_bytes()
         save_model(load_model(scratch_model_path), scratch_model_path)
         assert scratch_model_path.read_bytes() == first
+
+
+SMALL_VIDEO_TEXT = "\n".join(
+    ["gesture-landmarks v1", "source_id=v1", "label=wave"]
+    + [",".join([f"{frame}.5"] * 63) for frame in range(3)]
+) + "\n"
+
+SMALL_CSV_TEXT = "\n".join([FEATURE_CSV_HEADER] + [
+    f"{lm},0.5,1.5,2.5,{source_id},{label}"
+    for source_id, label in (("v1", "wave"), ("v2", "push"))
+    for lm in range(1, 22)
+]) + "\n"
+
+
+@st.composite
+def reader_mutations(draw, text):
+    """`text` with one numeric cell or one name replaced, or one line deleted,
+    doubled or preceded by a blank line."""
+    lines = text.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("cell", "name", "delete", "duplicate", "blank")))
+    if kind == "delete":
+        del lines[at]
+    elif kind in ("duplicate", "blank"):
+        lines.insert(at, lines[at] if kind == "duplicate" else "")
+    elif kind == "cell":
+        cells = lines[at].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(("nan", "inf", "-inf", "-1", "1e999", "x", ""))
+        )
+        lines[at] = ",".join(cells)
+    else:  # a video's source_id=/label= value, or a CSV row's source_id or label cell
+        named = [i for i, line in enumerate(lines) if "=" in line or line.count(",") == 5]
+        at = draw(st.sampled_from(named))
+        name = draw(st.sampled_from(("", "v2", "push", "x")))
+        key, sep, _ = lines[at].partition("=")
+        if sep:
+            lines[at] = f"{key}={name}"
+        else:
+            cells = lines[at].split(",")
+            cells[draw(st.sampled_from((4, 5)))] = name
+            lines[at] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+# Names as the text formats can hold them: no comma, no line break.
+names = st.text(
+    st.characters(codec="utf-8", exclude_characters=_NAME_BREAKERS), min_size=1, max_size=8
+)
+coordinates = st.one_of(
+    st.sampled_from((-0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+gesture_videos = st.builds(
+    GestureVideo,
+    frames=hnp.arrays(np.float64, st.tuples(st.integers(2, 5), st.just(21), st.just(3)),
+                      elements=coordinates),
+    source_id=names,
+    label=st.none() | names,
+)
+
+
+@st.composite
+def feature_matrix_lists(draw):
+    variances = st.floats(min_value=-0.0, allow_infinity=False)
+    return [
+        FeatureMatrix(
+            rows=draw(hnp.arrays(np.float64, (21, 3), elements=variances)),
+            source_id=source_id,
+            label=draw(st.none() | names),
+        )
+        for source_id in draw(st.lists(names, max_size=3, unique=True))
+    ]
+
+
+@pytest.fixture(scope="module")
+def example_dir(tmp_path_factory):
+    """One directory whose files each generated example overwrites."""
+    return tmp_path_factory.mktemp("readers")
+
+
+def loads_or_names_the_file(read, path, text):
+    path.write_text(text)
+    try:
+        read(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+
+
+class TestReaderContract:
+    """A reader either loads its input or raises a DataError naming the file."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=reader_mutations(SMALL_VIDEO_TEXT))
+    def test_mutated_video_loads_or_names_the_file(self, text, example_dir):
+        loads_or_names_the_file(read_video, example_dir / "m.landmarks", text)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=reader_mutations(SMALL_CSV_TEXT))
+    def test_mutated_feature_csv_loads_or_names_the_file(self, text, example_dir):
+        loads_or_names_the_file(read_feature_csv, example_dir / "m.csv", text)
+
+    def test_unmutated_inputs_load(self, example_dir):
+        (example_dir / "v.landmarks").write_text(SMALL_VIDEO_TEXT)
+        assert read_video(example_dir / "v.landmarks").frame_count == 3
+        (example_dir / "f.csv").write_text(SMALL_CSV_TEXT)
+        assert [f.label for f in read_feature_csv(example_dir / "f.csv")] == ["wave", "push"]
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(video=gesture_videos)
+    def test_video_round_trip_is_bit_exact(self, video, example_dir):
+        path = example_dir / "rt.landmarks"
+        write_video(video, path)
+        first = path.read_bytes()
+        back = read_video(path)
+        assert back.frames.tobytes() == video.frames.tobytes()
+        assert (back.source_id, back.label) == (video.source_id, video.label)
+        write_video(back, path)
+        assert path.read_bytes() == first
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(features=feature_matrix_lists())
+    def test_feature_csv_round_trip_is_bit_exact(self, features, example_dir):
+        path = example_dir / "rt.csv"
+        write_feature_csv(features, path)
+        first = path.read_bytes()
+        back = read_feature_csv(path)
+        assert [f.rows.tobytes() for f in back] == [f.rows.tobytes() for f in features]
+        assert [(f.source_id, f.label) for f in back] == [(f.source_id, f.label) for f in features]
+        write_feature_csv(back, path)
+        assert path.read_bytes() == first
 
 
 class TestPlotExport:
