@@ -1,11 +1,18 @@
 """Multivariate Gaussian mixture fitted by Expectation-Maximization.
 
 Data points are the 3-dimensional variance feature rows. All density work is
-done in log space: per-component log densities come from a Cholesky
-factorization of the covariance, and posteriors/log-likelihoods use
-log-sum-exp, so the tiny densities typical of variance features never
-underflow. The K components are stored as stacked arrays and every step works
-on all of them at once.
+done in log space, and posteriors/log-likelihoods use log-sum-exp, so the tiny
+densities typical of variance features never underflow. The K components are
+stored as stacked arrays and every step works on all of them at once.
+
+Each covariance is factorized once, when its parameters are built, as
+Sigma_k = L_k L_k^T, and the inverse factor P_k = L_k^-1 is kept beside it.
+The Mahalanobis term is then a matrix product and a squared norm,
+
+    (x - mu_k)^T Sigma_k^-1 (x - mu_k) = ||P_k (x - mu_k)||^2,
+
+so evaluating densities (E-step, log-likelihood, classification) makes no
+linear-algebra library call.
 
 The E-step computes responsibilities
 
@@ -40,13 +47,19 @@ COVARIANCE_MODES = ("full", "diag")
 @dataclass(frozen=True)
 class MixtureParams:
     """K Gaussian components: means (K, d), covariances (K, d, d) and mixing
-    weights (K,) that sum to 1, plus the cached Cholesky factors."""
+    weights (K,) that sum to 1.
+
+    Building one validates it and caches, per component, the inverse Cholesky
+    factor `prec_chol` (lower-triangular, prec_chol_k^T prec_chol_k =
+    Sigma_k^-1) and `log_coefs`, log pi_k - (d log 2 pi + log det Sigma_k) / 2,
+    the log of the constant factor of pi_k N(x | mu_k, Sigma_k).
+    """
 
     means: np.ndarray
     covs: np.ndarray
     weights: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
-    log_dets: np.ndarray = field(init=False, repr=False, compare=False)
+    prec_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    log_coefs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.array(self.means, dtype=np.float64)
@@ -59,15 +72,15 @@ class MixtureParams:
             raise DataError(f"mean/covariance shapes do not match: {means.shape} vs {covs.shape}")
         if weights.shape != (k,):
             raise DataError("one weight per component required")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
             raise DataError("non-finite component parameters")
-        if not np.all((weights >= 0) & (weights <= 1)):  # NaN fails both
+        if not ((weights >= 0).all() and (weights <= 1).all()):  # NaN fails both
             raise DataError("mixing weights must lie in [0, 1]")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise DataError(f"mixing weights sum to {weights.sum()!r}, expected 1")
-        asymmetry = np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2))
-        if np.any(asymmetry > 1e-12):
-            bad = int(np.argmax(asymmetry > 1e-12))
+        asymmetric = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12
+        if asymmetric.any():
+            bad = int(np.argmax(asymmetric))
             raise NumericalError(f"component {bad} covariance is not symmetric within 1e-12")
         try:
             chol = np.linalg.cholesky(covs)
@@ -81,9 +94,11 @@ class MixtureParams:
                         f"component {i} covariance is not positive-definite"
                     ) from exc
             raise NumericalError(f"covariances are not positive-definite: {exc}") from exc
-        log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        with np.errstate(divide="ignore"):  # zero weights are legal -> -inf
+            log_coefs = np.log(weights) - 0.5 * (d * _LOG_2PI + log_dets)
         for name, value in (("means", means), ("covs", covs), ("weights", weights),
-                            ("chol", chol), ("log_dets", log_dets)):
+                            ("prec_chol", _inverse_lower(chol)), ("log_coefs", log_coefs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -94,6 +109,18 @@ class MixtureParams:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+
+def _inverse_lower(chol: np.ndarray) -> np.ndarray:
+    """L^-1 for a stack of lower-triangular L (K, d, d), by forward substitution
+    against the identity, row by row; the result is lower-triangular."""
+    d = chol.shape[-1]
+    inv = np.zeros_like(chol)
+    eye = np.eye(d)
+    for i in range(d):
+        # L[i, :i] W[:i] + L[i, i] W[i] = e_i
+        inv[:, i] = (eye[i] - (chol[:, i, None, :i] @ inv[:, :i])[:, 0]) / chol[:, i, i, None]
+    return inv
 
 
 @dataclass(frozen=True)
@@ -150,64 +177,71 @@ def _as_data(data) -> np.ndarray:
     return x
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum_k exp(a_nk) per row; the maximal terms are summed apart for precision."""
-    a_max = np.max(a, axis=1, keepdims=True)
-    is_max = a == a_max
-    count = np.sum(is_max, axis=1)
-    rest = np.sum(np.exp(np.where(is_max, -np.inf, a - a_max)), axis=1)
-    return a_max[:, 0] + np.log1p(rest / count) + np.log(count)
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The points of checked (N, d) data as the columns of a contiguous (d, N)
+    array: the layout every density and M-step pass works in."""
+    return np.ascontiguousarray(x.T)
 
 
-def _log_joint(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """log pi_k + log N(x_n | mu_k, Sigma_k), the unnormalized log posteriors, shape (N, K)."""
-    diff = (x[None, :, :] - params.means[:, None, :]).transpose(0, 2, 1)
-    z = np.linalg.solve(params.chol, diff)
-    maha = np.sum(z * z, axis=1)
-    log_dens = -0.5 * (params.dim * _LOG_2PI + params.log_dets[:, None] + maha)
-    with np.errstate(divide="ignore"):  # zero weights are legal -> -inf
-        log_w = np.log(params.weights)
-    return log_dens.T + log_w
+def _posteriors(xt: np.ndarray, params: MixtureParams):
+    """Responsibilities r_kn, shape (K, N), of the points in the columns of xt
+    (d, N), and the log normalizers log sum_k pi_k N(x_n | mu_k, Sigma_k), (N,)."""
+    z = params.prec_chol @ (xt - params.means[:, :, None])  # P_k (x_n - mu_k), (K, d, N)
+    np.square(z, out=z)
+    log_joint = z.sum(axis=1)  # squared Mahalanobis distances
+    log_joint *= -0.5
+    log_joint += params.log_coefs[:, None]  # log pi_k + log N(x_n | mu_k, Sigma_k)
+    # log-sum-exp over the components, shifted by the largest term
+    log_max = log_joint.max(axis=0)
+    log_joint -= log_max
+    resp = np.exp(log_joint, out=log_joint)
+    total = resp.sum(axis=0)
+    resp *= 1.0 / total
+    return resp, log_max + np.log(total)
 
 
 def log_likelihood(data, params: MixtureParams) -> float:
     """L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k), via log-sum-exp."""
-    x = _as_data(data)
-    return float(np.sum(_logsumexp(_log_joint(x, params))))
+    _, log_norm = _posteriors(_columns(_as_data(data)), params)
+    return float(np.sum(log_norm))
 
 
 def e_step(data, params: MixtureParams) -> np.ndarray:
-    """Responsibility matrix r_nk; each row sums to 1."""
-    resp, _ = _e_step_with_norm(_as_data(data), params)
-    return resp
+    """Responsibility matrix r_nk, shape (N, K); each row sums to 1."""
+    resp, _ = _e_step_with_norm(_columns(_as_data(data)), params)
+    return resp.T
 
 
-def _e_step_with_norm(x: np.ndarray, params: MixtureParams):
-    log_joint = _log_joint(x, params)
-    log_norm = _logsumexp(log_joint)
-    if not np.all(np.isfinite(log_norm)):
+def _e_step_with_norm(xt: np.ndarray, params: MixtureParams):
+    """Responsibilities as (K, N) and the per-point log normalizers."""
+    resp, log_norm = _posteriors(xt, params)
+    if not np.isfinite(log_norm).all():
         raise NumericalError("mixture density vanished for some data point")
-    resp = np.exp(log_joint - log_norm[:, None])
     return resp, log_norm
 
 
 def m_step(data, resp, reg_eps: float = 1e-6, covariance_mode: str = "full") -> MixtureParams:
-    """Closed-form parameter re-estimation from responsibilities."""
+    """Closed-form parameter re-estimation from (N, K) responsibilities."""
     x = _as_data(data)
     r = np.asarray(resp, dtype=np.float64)
-    n, d = x.shape
-    if r.shape[0] != n or r.ndim != 2:
+    if r.shape[0] != x.shape[0] or r.ndim != 2:
         raise DataError("responsibilities must be (N, K) aligned with the data")
-    mass = r.sum(axis=0)
+    r = np.ascontiguousarray(r.T)
+    return _m_step(_columns(x), r, r.sum(axis=1), reg_eps, covariance_mode)
+
+
+def _m_step(xt, r, mass, reg_eps, covariance_mode) -> MixtureParams:
+    """m_step on points as columns xt (d, N), responsibilities r (K, N) and their
+    row sums `mass`."""
     empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
     if empty.size:
         raise NumericalError(f"component {int(empty[0])} has no responsibility mass")
-
+    d, n = xt.shape
     weights = mass / n
     weights = weights / weights.sum()
-    means = (r.T @ x) / mass[:, None]
-    diff = x[None, :, :] - means[:, None, :]
-    covs = (diff.transpose(0, 2, 1) * r.T[:, None, :]) @ diff / mass[:, None, None]
+    means = (r @ xt.T) / mass[:, None]
+    diff = xt - means[:, :, None]  # (K, d, N)
+    covs = (diff * r[:, None, :]) @ diff.transpose(0, 2, 1) / mass[:, None, None]
     covs = _restrict(covs, covariance_mode) + reg_eps * np.eye(d)
     return MixtureParams(means=means, covs=covs, weights=weights)
 
@@ -264,7 +298,8 @@ def _reseed_component(
     x: np.ndarray, params: MixtureParams, k_empty: int, config: EmConfig
 ) -> MixtureParams:
     """Move an empty component to the point the mixture explains worst."""
-    worst = int(np.argmin(_logsumexp(_log_joint(x, params))))
+    _, log_norm = _posteriors(_columns(x), params)
+    worst = int(np.argmin(log_norm))
     means = params.means.copy()
     means[k_empty] = x[worst]
     covs = params.covs.copy()
@@ -282,6 +317,7 @@ def fit(data, config: EmConfig):
     correspond to the returned parameters.
     """
     x = _as_data(data)
+    xt = _columns(x)
     params = initialize(x, config)
     trace = EmTrace()
 
@@ -289,11 +325,11 @@ def fit(data, config: EmConfig):
         # Reseed any component whose posterior mass has collapsed to zero. Each
         # pass returns, raises or records a reseed, and reseeds are capped.
         while True:
-            resp, log_norm = _e_step_with_norm(x, params)
-            mass = resp.sum(axis=0)
+            resp, log_norm = _e_step_with_norm(xt, params)
+            mass = resp.sum(axis=1)
             empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
             if empty.size == 0:
-                return params, resp, float(log_norm.sum())
+                return params, resp, mass, float(log_norm.sum())
             if len(trace.reseeds) >= _MAX_RESEEDS:
                 raise NumericalError(
                     f"component {int(empty[0])} stayed empty after "
@@ -303,14 +339,14 @@ def fit(data, config: EmConfig):
             trace.reseeds.append((iteration, int(empty[0])))
             params = _reseed_component(x, params, int(empty[0]), config)
 
-    params, resp, ll = checked_e_step(params, 0)
+    params, resp, mass, ll = checked_e_step(params, 0)
     trace.log_likelihoods.append(ll)
     for iteration in range(1, config.max_iters + 1):
-        params = m_step(x, resp, reg_eps=config.reg_eps, covariance_mode=config.covariance_mode)
-        params, resp, ll = checked_e_step(params, iteration)
+        params = _m_step(xt, resp, mass, config.reg_eps, config.covariance_mode)
+        params, resp, mass, ll = checked_e_step(params, iteration)
         trace.log_likelihoods.append(ll)
         trace.n_iters = iteration
         if abs(ll - trace.log_likelihoods[-2]) < config.tol:
             trace.converged = True
             break
-    return params, resp, trace
+    return params, resp.T, trace

@@ -1,9 +1,10 @@
 """Versioned text formats: landmark videos, feature CSVs, trained models, plot data.
 
-All floats are serialized with 17 significant digits so every round trip is
-bit-exact. A reader checks only the layout of its file; every range, shape
-and name rule is checked by the object it builds, and `_checked` adds the
-file and line (or model field) to that object's error.
+Every file is UTF-8 text. All floats are serialized with 17 significant
+digits so every round trip is bit-exact. A reader checks only the layout of
+its file; every range, shape and name rule is checked by the object it
+builds, and `_checked` adds the file and line (or model field) to that
+object's error.
 """
 
 import os
@@ -46,6 +47,16 @@ def _parse_floats(cells: list[str], where) -> list[float]:
         return [_parse_float(c, place) for c in cells]  # raises on the first bad cell
 
 
+def _read_lines(path: Path, error=DataError) -> list[str]:
+    """The file's lines. A file that is not UTF-8 text is malformed input,
+    reported as `error` naming the file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return text.splitlines()
+
+
 def _checked(where, make, field: str | None = None):
     """make(), with the error of what it builds reported against `where`: a
     ModelFormatError naming `field` when one is given, else a DataError."""
@@ -72,12 +83,12 @@ def write_video(video: GestureVideo, path) -> None:
         lines.append(f"label={video.label}")
     frames = video.frames.reshape(video.frame_count, -1).tolist()
     lines += [_FRAME_ROW % tuple(frame) for frame in frames]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_video(path) -> GestureVideo:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != VIDEO_MAGIC:
         raise DataError(f"{path}: missing '{VIDEO_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("source_id="):
@@ -115,7 +126,7 @@ def read_video_dir(path) -> list[GestureVideo]:
 def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:
     lines = [MANIFEST_HEADER]
     lines += [f"{fname},{source_id},{label}" for fname, source_id, label in entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +139,12 @@ def write_feature_csv(features: Sequence[FeatureMatrix], path) -> None:
         label = feat.label if feat.label is not None else ""
         for lm, row in enumerate(feat.rows.tolist(), start=1):
             lines.append(f"{lm},{_VARIANCE_ROW % tuple(row)},{feat.source_id},{label}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_feature_csv(path) -> list[FeatureMatrix]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != FEATURE_CSV_HEADER:
         raise DataError(f"{path}: missing '{FEATURE_CSV_HEADER}' header")
     # (physical line number, text) of each data row; blank lines are skipped but counted
@@ -176,7 +187,7 @@ def export_plot_data(rows, groups, path) -> None:
         raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
     lines = [PLOT_HEADER]
     lines += [f"{_VARIANCE_ROW % tuple(row)},{group}" for row, group in zip(x.tolist(), groups)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +260,7 @@ def save_model(model: ModelFile, path) -> None:
     path = Path(path)
     partial = path.with_name(path.name + ".tmp")
     try:
-        partial.write_text("\n".join(lines) + "\n")
+        partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -260,7 +271,7 @@ def load_model(path) -> ModelFile:
     indices, the weight sum and the `end` sentinel; every range and shape check
     is made by the object the values build."""
     path = Path(path)
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    lines = [line for line in _read_lines(path, ModelFormatError) if line.strip()]
     if not lines or lines[0] != MODEL_MAGIC:
         raise ModelFormatError(
             f"{path}: missing or unsupported version header (want '{MODEL_MAGIC}')",

@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import DataError
 
-# Rows of the distance matrix held at once: the block and one scratch buffer
-# are each (B, N), so memory grows with this times N, not with N squared.
-_BLOCK_ROWS = 256
+# Bytes of each of the two (B, N) buffers, the distance block and its scratch:
+# B = this // (8 N) rows, within [8, 256]. Sized by bytes rather than rows, so
+# the pair stays near cache size as N grows; memory grows with N, not N squared.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,12 @@ def silhouette(data, assignment) -> SilhouetteReport:
     bounds = np.concatenate(([0], np.cumsum(counts)))
     x_sorted = x[order]
     columns = [np.ascontiguousarray(x_sorted[:, j]) for j in range(x.shape[1])]
-    dist_buffer = np.empty((_BLOCK_ROWS, n))
-    square_buffer = np.empty((_BLOCK_ROWS, n))
+    block_rows = min(max(_BLOCK_BYTES // (8 * n), 8), 256)
+    dist_buffer = np.empty((block_rows, n))
+    square_buffer = np.empty((block_rows, n))
     scores = np.zeros(n)  # in sorted order
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
         block = x_sorted[start:stop]
         dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
         # squared coordinate differences added x, then y, then z: the order a

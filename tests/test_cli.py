@@ -242,6 +242,18 @@ class TestTrain:
         assert stdout == ""
         assert f"input {missing} is neither a directory nor a file" in stderr
 
+    def test_non_utf8_video_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        videos = make_corpus(data, videos_per_profile=1)
+        bad = data / f"{videos[0].source_id}.landmarks"
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(data), "--output", str(tmp_path / "o")
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"data error: {bad}: not UTF-8 text")
+
 
 class TestClassify:
     def test_records_accuracy_and_actions(self, tmp_path, capsys, trained_dir):

@@ -2,12 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gesturemix import (
+    ClusterLabelMap,
     DataError,
     EmConfig,
+    FeatureMatrix,
     MixtureParams,
+    NormalizationStats,
     NumericalError,
+    classify_video,
     e_step,
     fit,
     initialize,
@@ -139,6 +146,93 @@ class TestEStep:
         resp = e_step(rng.normal(size=(40, 3), scale=4.0), params)
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((resp >= 0) & (resp <= 1))
+
+
+@st.composite
+def conditioned_mixtures(draw):
+    """(params, points): 1-4 components whose covariances have condition numbers
+    up to 1e8 and eigenvalues between 1e-3 and 1e11, and 1-5 points each within
+    10 standard deviations (Mahalanobis distance) of some component's mean."""
+    unit = st.floats(-1.0, 1.0)
+    k = draw(st.integers(1, 4))
+    means, covs, factors = [], [], []
+    for _ in range(k):
+        rotation, _ = np.linalg.qr(draw(hnp.arrays(np.float64, (3, 3), elements=unit)))
+        log_cond = draw(st.floats(0.0, 8.0))
+        spread = np.array([0.0, draw(st.floats(0.0, 1.0)), 1.0])
+        eigenvalues = 10.0 ** (draw(st.floats(-3.0, 3.0)) + log_cond * spread)
+        cov = (rotation * eigenvalues) @ rotation.T
+        means.append(draw(hnp.arrays(np.float64, 3, elements=st.floats(-10.0, 10.0))))
+        covs.append((cov + cov.T) / 2)  # exactly symmetric
+        factors.append(rotation * np.sqrt(eigenvalues))
+    weights = draw(hnp.arrays(np.float64, k, elements=st.floats(0.05, 1.0)))
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        j = draw(st.integers(0, k - 1))
+        direction = draw(hnp.arrays(np.float64, 3, elements=unit))
+        norm = np.linalg.norm(direction)
+        radius = draw(st.floats(0.0, 10.0))
+        offset = factors[j] @ (direction * (radius / norm)) if norm > 0 else np.zeros(3)
+        points.append(means[j] + offset)
+    return mixture(means, covs, weights / weights.sum()), np.array(points)
+
+
+def conditioning_slack(params, x):
+    """Per component, the absolute error that the covariance's conditioning lets
+    any double-precision evaluation of log(pi_k N(x | mu_k, Sigma_k)) make, for
+    either side of a comparison: the log-determinant is off by up to about
+    eps * cond * d and the Mahalanobis term by eps * cond times itself."""
+    maha = np.array(
+        [diff @ np.linalg.inv(cov) @ diff for diff, cov in zip(x - params.means, params.covs)]
+    )
+    return 2 * np.finfo(float).eps * np.linalg.cond(params.covs) * (params.dim + maha)
+
+
+class TestDensityAgainstDirectFormula:
+    """The cached inverse factors against the textbook density (determinant and
+    explicit inverse of the covariance), through Bayes' rule: within 1e-9
+    relative, plus the error the covariances' conditioning allows both sides
+    (up to about 1e-8 in a log-density at condition number 1e8)."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(case=conditioned_mixtures())
+    def test_log_likelihood_and_posteriors(self, case):
+        params, points = case
+        resp = e_step(points, params)
+        for x, r in zip(points, resp):
+            joint = np.array([
+                w * direct_density(x, m, c)
+                for w, m, c in zip(params.weights, params.means, params.covs)
+            ])
+            posterior = joint / joint.sum()
+            slack = conditioning_slack(params, x)
+            # d log sum_k exp(a_k) = sum_k r_k da_k and dr_k = r_k (da_k - sum_j r_j da_j)
+            expected = np.log(joint.sum())
+            assert abs(log_likelihood(x[None, :], params) - expected) <= (
+                1e-9 * abs(expected) + posterior @ slack
+            )
+            tolerance = posterior * (1e-9 + slack + posterior @ slack) + 1e-300
+            assert np.all(np.abs(r - posterior) <= tolerance)
+
+
+class TestFactorOncePerParameterSet:
+    def test_density_calls_make_no_linear_algebra_call(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        params = random_mixture(rng, 4)
+        x = rng.normal(size=(30, 3), scale=3.0)
+        expected = (e_step(x, params), log_likelihood(x, params))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density evaluation called np.linalg")
+
+        for name in ("solve", "cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert np.array_equal(e_step(x, params), expected[0])
+        assert log_likelihood(x, params) == expected[1]
+        label_map = ClusterLabelMap(labels=("a", "b", "c", "d"), confidence=(1.0,) * 4)
+        stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
+        features = FeatureMatrix(rows=np.abs(x[:21]), source_id="v")
+        assert classify_video(features, params, label_map, stats).winner in label_map.labels
 
 
 class TestMStep:

@@ -173,6 +173,13 @@ class TestVideoFiles:
         with pytest.raises(DataError, match="no .*landmarks"):
             read_video_dir(tmp_path)
 
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "v.landmarks"
+        path.write_bytes(SMALL_VIDEO_TEXT.encode() + b"\xff\xfe")
+        with pytest.raises(DataError) as excinfo:
+            read_video(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {len(SMALL_VIDEO_TEXT)})"
+
 
 class TestFeatureCsv:
     def test_80_videos_make_1680_rows(self, tmp_path):
@@ -305,6 +312,13 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(excinfo.value) == f"non-numeric value 'oops' in {path} row 14"
 
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(SMALL_CSV_TEXT.encode() + b"\xff\xfe")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {len(SMALL_CSV_TEXT)})"
+
 
 class TestModelFiles:
     def test_numeric_round_trip_is_bit_exact(self, tmp_path, trained):
@@ -346,6 +360,16 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError) as excinfo:
             load_model(truncated)
         assert excinfo.value.field is not None
+
+    def test_non_utf8_byte_is_a_format_error_naming_the_file(self, tmp_path, trained):
+        model, _, _ = trained
+        path = tmp_path / "m.gmm"
+        save_model(model, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {size})"
 
     def test_bad_weight_sum_rejected(self, tmp_path, trained):
         model, _, _ = trained
@@ -429,8 +453,8 @@ class TestModelFiles:
         save_model(model, path)
         before = path.read_bytes()
 
-        def write_half_then_fail(self, text):
-            with open(self, "w") as handle:
+        def write_half_then_fail(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as handle:
                 handle.write(text[: len(text) // 2])
             raise OSError("disk full")
 

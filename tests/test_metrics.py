@@ -147,7 +147,7 @@ class TestBitIdenticalToPerPointLoop:
         _assert_same_as_per_point_loop(data, rng.choice([-4, 3, 17, 1000], size=600))
 
     def test_clusters_missing_from_a_block(self):
-        # sorted by cluster, rows 256-511 all belong to the middle cluster
+        # sorted by cluster, the first blocks hold rows of cluster 0 alone
         rng = np.random.default_rng(12)
         data = rng.normal(size=(600, 3))
         assignment = np.array([2] * 10 + [0] * 580 + [1] * 10)
