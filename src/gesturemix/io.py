@@ -1,9 +1,10 @@
 """Versioned text formats: landmark videos, feature CSVs, trained models, plot data.
 
-Every file is UTF-8 text. All floats are serialized with 17 significant
-digits so every round trip is bit-exact. A reader checks only the layout of
-its file; every range, shape and name rule is checked by the object it
-builds, and `_checked` adds the file and line (or model field) to that
+Every file is UTF-8 text, written beside its target and renamed onto it, so a
+failed write leaves any previous file whole. All floats are serialized with 17
+significant digits so every round trip is bit-exact. A reader checks only the
+layout of its file; every range, shape and name rule is checked by the object
+it builds, and `_checked` adds the file and line (or model field) to that
 object's error.
 """
 
@@ -57,6 +58,17 @@ def _read_lines(path: Path, error=DataError) -> list[str]:
     return text.splitlines()
 
 
+def _write_lines(path, lines: list[str]) -> None:
+    """Write the lines to `<path>.tmp` and rename it onto `path`."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def _checked(where, make, field: str | None = None):
     """make(), with the error of what it builds reported against `where`: a
     ModelFormatError naming `field` when one is given, else a DataError."""
@@ -83,7 +95,7 @@ def write_video(video: GestureVideo, path) -> None:
         lines.append(f"label={video.label}")
     frames = video.frames.reshape(video.frame_count, -1).tolist()
     lines += [_FRAME_ROW % tuple(frame) for frame in frames]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def read_video(path) -> GestureVideo:
@@ -126,7 +138,7 @@ def read_video_dir(path) -> list[GestureVideo]:
 def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:
     lines = [MANIFEST_HEADER]
     lines += [f"{fname},{source_id},{label}" for fname, source_id, label in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +151,7 @@ def write_feature_csv(features: Sequence[FeatureMatrix], path) -> None:
         label = feat.label if feat.label is not None else ""
         for lm, row in enumerate(feat.rows.tolist(), start=1):
             lines.append(f"{lm},{_VARIANCE_ROW % tuple(row)},{feat.source_id},{label}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def read_feature_csv(path) -> list[FeatureMatrix]:
@@ -187,7 +199,7 @@ def export_plot_data(rows, groups, path) -> None:
         raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
     lines = [PLOT_HEADER]
     lines += [f"{_VARIANCE_ROW % tuple(row)},{group}" for row, group in zip(x.tolist(), groups)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +267,7 @@ def save_model(model: ModelFile, path) -> None:
     for i in range(model.params.k):
         lines += _key_lines(_COMPONENT_KEYS, model, i)
     lines.append("end")
-    # written beside the target and renamed onto it, so a failed write leaves
-    # any previous model whole
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    _write_lines(path, lines)
 
 
 def load_model(path) -> ModelFile:

@@ -31,12 +31,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def check_names(**names: str | None) -> None:
-    """Reject a name the text formats could not read back; None means no name."""
+    """Reject a name the text formats could not write or read back; None means
+    no name."""
     for field, name in names.items():
+        if name is None:
+            continue
         if name == "":  # an empty CSV cell reads back as no label
             raise DataError(f"{field} is empty")
-        if name is not None and not _NAME_BREAKERS.isdisjoint(name):
+        if not _NAME_BREAKERS.isdisjoint(name):
             raise DataError(f"{field} {name!r} holds a comma or line break")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise DataError(f"{field} {name!r} cannot be written as UTF-8") from None
 
 
 @dataclass(frozen=True)

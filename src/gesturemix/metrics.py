@@ -59,38 +59,36 @@ def silhouette(data, assignment) -> SilhouetteReport:
     dist_buffer = np.empty((block_rows, n))
     square_buffer = np.empty((block_rows, n))
     scores = np.zeros(n)  # in sorted order
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        block = x_sorted[start:stop]
-        dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
-        # squared coordinate differences added x, then y, then z: the order a
-        # sum over the last axis of a (B, N, 3) difference tensor adds them in
-        np.square(np.subtract.outer(block[:, 0], columns[0], out=dist), out=dist)
-        for j in range(1, len(columns)):
-            dist += np.square(np.subtract.outer(block[:, j], columns[j], out=square), out=square)
-        np.sqrt(dist, out=dist)
-        # mean distance of every block row to every cluster; a row sum over a
-        # cluster's slice adds the same values in the same order as mean() over
-        # its gathered members, so a and b are bit-identical to the definition
-        to_cluster = np.column_stack(
-            [dist[:, lo:hi].sum(axis=1) / m for lo, hi, m in zip(bounds, bounds[1:], counts)]
-        )
-        for c, (lo, hi, m) in enumerate(zip(bounds, bounds[1:], counts)):
-            first, last = max(lo, start), min(hi, stop)
-            if first >= last or m == 1:
-                continue  # no rows in this block, or the singleton convention (0)
-            rows = slice(first - start, last - start)
-            own = dist[rows, lo:hi]
-            others = np.ones(own.shape, dtype=bool)
-            others[np.arange(last - first), np.arange(first - lo, last - lo)] = False  # self columns
-            a = own[others].reshape(last - first, m - 1).sum(axis=1) / (m - 1)
-            b = np.delete(to_cluster[rows], c, axis=1).min(axis=1)
+    slices = list(zip(bounds, bounds[1:], counts))
+    for c, (lo, hi, m) in enumerate(slices):
+        if m == 1:
+            continue  # the singleton convention: its score stays 0
+        others = slices[:c] + slices[c + 1:]
+        for start in range(lo, hi, block_rows):  # every block lies inside cluster c
+            stop = min(start + block_rows, hi)
+            block = x_sorted[start:stop]
+            dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
+            # squared coordinate differences added x, then y, then z: the order a
+            # sum over the last axis of a (B, N, 3) difference tensor adds them in
+            np.square(np.subtract.outer(block[:, 0], columns[0], out=dist), out=dist)
+            for j in range(1, len(columns)):
+                np.subtract.outer(block[:, j], columns[j], out=square)
+                dist += np.square(square, out=square)
+            np.sqrt(dist, out=dist)
+            # a row sum over a cluster's slice adds the same values in the same
+            # order as mean() over its gathered members, so a and b are
+            # bit-identical to the definition
+            b = np.min([dist[:, o_lo:o_hi].sum(axis=1) / o_m for o_lo, o_hi, o_m in others], axis=0)
+            own = dist[:, lo:hi]
+            not_self = np.ones(own.shape, dtype=bool)
+            not_self[np.arange(stop - start), np.arange(start - lo, stop - lo)] = False
+            a = own[not_self].reshape(stop - start, m - 1).sum(axis=1) / (m - 1)
             denom = np.maximum(a, b)
-            np.divide(b - a, denom, out=scores[first:last], where=denom != 0.0)
+            np.divide(b - a, denom, out=scores[start:stop], where=denom != 0.0)
 
     per_point = np.empty(n)
     per_point[order] = scores
-    per_cluster_mean = np.array([scores[lo:hi].mean() for lo, hi in zip(bounds, bounds[1:])])
+    per_cluster_mean = np.array([scores[lo:hi].mean() for lo, hi, _ in slices])
     return SilhouetteReport(
         overall=float(per_point.mean()),
         per_point=per_point,

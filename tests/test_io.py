@@ -39,6 +39,7 @@ from gesturemix.io import (
     read_video_dir,
     save_model,
     write_feature_csv,
+    write_manifest,
     write_video,
 )
 
@@ -447,24 +448,6 @@ class TestModelFiles:
             load_model(bad)
 
 
-    def test_failed_save_keeps_previous_model(self, tmp_path, trained, monkeypatch):
-        model, _, _ = trained
-        path = tmp_path / "model.gmm"
-        save_model(model, path)
-        before = path.read_bytes()
-
-        def write_half_then_fail(self, text, encoding=None):
-            with open(self, "w", encoding=encoding) as handle:
-                handle.write(text[: len(text) // 2])
-            raise OSError("disk full")
-
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            save_model(replace(model, config=replace(model.config, seed=7)), path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.gmm"]
-
-
 # A small fixed model and the exact v2 text it is saved as.
 SMALL_MODEL = ModelFile(
     config=EmConfig(k=2),
@@ -815,3 +798,37 @@ class TestPlotExport:
             for f in features
         )
         assert export_hits == classify_hits
+
+
+# Each writer with two versions of a small input, 0 and 1, that write different bytes.
+WRITERS = {
+    "write_video": lambda path, v: write_video(
+        GestureVideo(frames=np.full((2, 21, 3), float(v)), source_id="v"), path
+    ),
+    "write_manifest": lambda path, v: write_manifest([("v.landmarks", f"v{v}", "wave")], path),
+    "write_feature_csv": lambda path, v: write_feature_csv(
+        [FeatureMatrix(rows=np.full((21, 3), float(v)), source_id="v")], path
+    ),
+    "export_plot_data": lambda path, v: export_plot_data(
+        np.full((2, 3), float(v)), ["a", "b"], path
+    ),
+    "save_model": lambda path, v: save_model(replace(SMALL_MODEL, iterations=7 + v), path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.txt"
+    WRITERS[writer](path, 0)
+    before = path.read_bytes()
+
+    def write_half_then_fail(self, text, encoding=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](path, 1)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -161,7 +161,7 @@ class TestFeatureMatrixValidation:
 class TestNames:
     """Names are written into comma- and line-separated files, so they may hold neither."""
 
-    @pytest.mark.parametrize("name", ["", "a,b", "wa\nve", "wave\r", "wa\x85ve", "wave\u2028"])
+    @pytest.mark.parametrize("name", ["", "a,b", "wa\nve", "wave\r", "wa\x85ve", "wave\u2028", "wa\ud800ve"])
     def test_separator_in_source_id_or_label_rejected(self, name):
         with pytest.raises(DataError):
             FeatureMatrix(rows=np.zeros((21, 3)), source_id=name)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gesturemix import DataError, silhouette
+from gesturemix.metrics import _BLOCK_BYTES
 from oracles import brute_force_silhouette, per_point_silhouette
 
 
@@ -151,6 +152,17 @@ class TestBitIdenticalToPerPointLoop:
         rng = np.random.default_rng(12)
         data = rng.normal(size=(600, 3))
         assignment = np.array([2] * 10 + [0] * 580 + [1] * 10)
+        rng.shuffle(assignment)
+        _assert_same_as_per_point_loop(data, assignment)
+
+    @pytest.mark.parametrize("n", [600, 1024, 3000])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_cluster_ending_on_a_block_end(self, n, blocks):
+        # cluster 0 holds exactly `blocks` whole blocks of rows, cluster 1 two members
+        rows = min(max(_BLOCK_BYTES // (8 * n), 8), 256)
+        rng = np.random.default_rng(n + blocks)
+        data = rng.normal(size=(n, 3))
+        assignment = np.repeat([0, 1, 2], [blocks * rows, 2, n - blocks * rows - 2])
         rng.shuffle(assignment)
         _assert_same_as_per_point_loop(data, assignment)
 
