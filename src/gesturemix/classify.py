@@ -6,7 +6,7 @@ mapped components collect the most votes.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +22,13 @@ class ClusterLabelMap:
 
     `confidence[k]` is the fraction of training rows assigned to component k
     that carry its majority label; below 1.0 means the component is impure.
+    `distinct_labels`, the sorted set of labels, is computed once when the map
+    is built.
     """
 
     labels: tuple[str, ...]
     confidence: tuple[float, ...]
+    distinct_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.confidence):
@@ -36,17 +39,11 @@ class ClusterLabelMap:
             raise DataError("confidences must lie in [0, 1]")
         for label in self.labels:
             check_names(label=label)
+        object.__setattr__(self, "distinct_labels", tuple(sorted(set(self.labels))))
 
     @property
     def k(self) -> int:
         return len(self.labels)
-
-    def label_for(self, cluster: int) -> str:
-        return self.labels[cluster]
-
-    @property
-    def distinct_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels)))
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,14 @@ def classify_video(
     """
     if label_map.k != params.k:
         raise DataError(f"label map has {label_map.k} entries for {params.k} components")
-    resp = e_step(apply_normalization(features.rows, stats), params)
-    votes = tuple(zip(np.argmax(resp, axis=1).tolist(), np.max(resp, axis=1).tolist()))
+    resp = e_step(apply_normalization(features.rows, stats), params).T  # (K, rows)
+    clusters = resp.argmax(axis=0).tolist()
+    votes = tuple(zip(clusters, np.maximum.reduce(resp, axis=0).tolist()))
 
-    counts = {label: 0 for label in label_map.distinct_labels}
-    for cluster, _ in votes:
-        counts[label_map.label_for(cluster)] += 1
+    labels = label_map.labels
+    counts = dict.fromkeys(label_map.distinct_labels, 0)
+    for cluster in clusters:
+        counts[labels[cluster]] += 1
     best = max(counts.values())
     winner = min(lbl for lbl, cnt in counts.items() if cnt == best)
     runner_up = max((cnt for lbl, cnt in counts.items() if lbl != winner), default=0)

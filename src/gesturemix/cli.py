@@ -136,6 +136,21 @@ def cmd_train(args) -> int:
     assignment = np.argmax(resp, axis=1)
     label_map = build_label_map(assignment, row_labels, params.k)
     report = silhouette(data, assignment)
+    # Suspect fits still exit 0 with unchanged stdout; stderr says what is wrong.
+    if not trace.converged:
+        last_change = trace.log_likelihoods[-1] - trace.log_likelihoods[-2]
+        print(
+            f"warning: EM stopped at --max-iters {config.max_iters} without converging "
+            f"(last log-likelihood change {last_change:.3g}, --tol {config.tol:g})",
+            file=sys.stderr,
+        )
+    unowned = sorted(set(distinct) - set(label_map.labels))
+    if unowned:
+        print(
+            f"warning: no component is labelled {', '.join(unowned)}; "
+            "classify can never return these gestures",
+            file=sys.stderr,
+        )
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,7 +168,7 @@ def cmd_train(args) -> int:
 
     export_plot_data(raw_rows, row_labels, out / "train_plot_before.csv")
     export_plot_data(
-        raw_rows, [label_map.label_for(a) for a in assignment], out / "train_plot_after.csv"
+        raw_rows, [label_map.labels[a] for a in assignment], out / "train_plot_after.csv"
     )
 
     print(f"iterations={trace.n_iters}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .landmarks import all_finite
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -72,7 +73,7 @@ class MixtureParams:
             raise DataError(f"mean/covariance shapes do not match: {means.shape} vs {covs.shape}")
         if weights.shape != (k,):
             raise DataError("one weight per component required")
-        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        if not (all_finite(means) and all_finite(covs)):
             raise DataError("non-finite component parameters")
         if not ((weights >= 0).all() and (weights <= 1).all()):  # NaN fails both
             raise DataError("mixing weights must lie in [0, 1]")
@@ -172,7 +173,7 @@ def _as_data(data) -> np.ndarray:
         raise DataError(f"data must be an (N, d) array, got shape {x.shape}")
     if x.shape[0] == 0:
         raise DataError("empty data")
-    if not np.all(np.isfinite(x)):
+    if not all_finite(x):
         raise DataError("non-finite data point")
     return x
 
@@ -188,14 +189,14 @@ def _posteriors(xt: np.ndarray, params: MixtureParams):
     (d, N), and the log normalizers log sum_k pi_k N(x_n | mu_k, Sigma_k), (N,)."""
     z = params.prec_chol @ (xt - params.means[:, :, None])  # P_k (x_n - mu_k), (K, d, N)
     np.square(z, out=z)
-    log_joint = z.sum(axis=1)  # squared Mahalanobis distances
+    log_joint = np.add.reduce(z, axis=1)  # squared Mahalanobis distances
     log_joint *= -0.5
     log_joint += params.log_coefs[:, None]  # log pi_k + log N(x_n | mu_k, Sigma_k)
     # log-sum-exp over the components, shifted by the largest term
-    log_max = log_joint.max(axis=0)
+    log_max = np.maximum.reduce(log_joint, axis=0)
     log_joint -= log_max
     resp = np.exp(log_joint, out=log_joint)
-    total = resp.sum(axis=0)
+    total = np.add.reduce(resp, axis=0)
     resp *= 1.0 / total
     return resp, log_max + np.log(total)
 
@@ -215,7 +216,7 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
 def _e_step_with_norm(xt: np.ndarray, params: MixtureParams):
     """Responsibilities as (K, N) and the per-point log normalizers."""
     resp, log_norm = _posteriors(xt, params)
-    if not np.isfinite(log_norm).all():
+    if not all_finite(log_norm):
         raise NumericalError("mixture density vanished for some data point")
     return resp, log_norm
 

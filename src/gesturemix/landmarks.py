@@ -24,6 +24,20 @@ STD_FLOOR = 1e-12
 _NAME_BREAKERS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
+# The reductions as ufunc methods: np.all, np.any, np.var and the array
+# methods reach these same calls through a Python layer that costs more than
+# the work on a 21x3 matrix.
+_all = np.logical_and.reduce
+_any = np.logical_or.reduce
+_sum = np.add.reduce
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite; the finiteness check of
+    every type here and of the mixture's data."""
+    return bool(_all(np.isfinite(a), axis=None))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
@@ -64,7 +78,7 @@ class GestureVideo:
             )
         if frames.shape[0] < 2:
             raise DataError("a gesture video needs at least 2 frames")
-        if not np.all(np.isfinite(frames)):
+        if not all_finite(frames):
             raise DataError(f"non-finite landmark coordinate in {self.source_id!r}")
         object.__setattr__(self, "frames", frames)
 
@@ -89,9 +103,9 @@ class FeatureMatrix:
             raise DataError(
                 f"feature matrix must be {LANDMARK_COUNT}x{COORD_DIM}, got {rows.shape}"
             )
-        if not np.all(np.isfinite(rows)):
+        if not all_finite(rows):
             raise DataError(f"NaN or infinite feature value in {self.source_id!r}")
-        if np.any(rows < 0):
+        if _any(rows < 0, axis=None):
             raise DataError(f"negative variance in {self.source_id!r}")
         object.__setattr__(self, "rows", rows)
 
@@ -108,17 +122,29 @@ class NormalizationStats:
         std = _freeze(self.std)
         if mean.shape != (COORD_DIM,) or std.shape != (COORD_DIM,):
             raise DataError("normalization stats must hold 3 means and 3 stds")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        if not (all_finite(mean) and all_finite(std)):
             raise DataError("non-finite normalization stats")
-        if np.any(std <= 0):
+        if _any(std <= 0, axis=None):
             raise DataError("normalization stds must be strictly positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
 
 def compute_variances(video: GestureVideo) -> FeatureMatrix:
-    """Reduce a video to per-landmark population variances (divisor = frame count)."""
-    rows = np.var(video.frames, axis=0)
+    """Reduce a video to per-landmark population variances (divisor = frame count).
+
+    The steps are the ufunc calls np.var(frames, axis=0) makes, in its order,
+    so the rows equal np.var's bit for bit: sum over frames, divide by F,
+    subtract, square, sum, divide by F.
+    """
+    frames = video.frames
+    count = frames.shape[0]
+    mean = _sum(frames, axis=0)
+    mean /= count
+    dev = frames - mean
+    np.square(dev, out=dev)
+    rows = _sum(dev, axis=0)
+    rows /= count
     return FeatureMatrix(rows=rows, source_id=video.source_id, label=video.label)
 
 

@@ -4,6 +4,8 @@ These deliberately follow textbook definitions with plain loops and no
 numerical shortcuts; they are the other side of every dual-route check.
 """
 
+from collections import Counter
+
 import numpy as np
 
 
@@ -67,3 +69,28 @@ def per_point_silhouette(data, assignment, block_rows=256):
             per_point[i] = 0.0 if denom == 0.0 else (b - a) / denom
     per_cluster_mean = np.array([per_point[members[int(c)]].mean() for c in clusters])
     return per_point, clusters, per_cluster_mean
+
+
+def population_variance(frames):
+    """Per-landmark population variance of (F, 21, 3) frames as numpy defines
+    it: np.var over the frame axis."""
+    return np.var(np.asarray(frames, dtype=np.float64), axis=0)
+
+
+def tally_decision(posteriors, labels):
+    """A video's decision counted by hand from its (rows, K) posteriors.
+
+    Each row votes for its first maximal component; the label with the most
+    votes wins, ties going to the smallest label, and the margin is the
+    winner's count minus the best other label's (0 when there is none).
+    Returns (votes, counts, winner, margin) with counts over the sorted labels.
+    """
+    votes = []
+    for row in np.asarray(posteriors).tolist():
+        best = max(row)
+        votes.append((row.index(best), best))
+    tally = Counter(labels[component] for component, _ in votes)
+    counts = {label: tally[label] for label in sorted(set(labels))}
+    winner = sorted(counts, key=lambda label: (-counts[label], label))[0]
+    runner_up = max((n for label, n in counts.items() if label != winner), default=0)
+    return votes, counts, winner, counts[winner] - runner_up

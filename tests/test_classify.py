@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,21 @@ from gesturemix import (
     FeatureMatrix,
     MixtureParams,
     NormalizationStats,
+    apply_normalization,
     build_label_map,
+    classify,
     classify_video,
+    compute_variances,
+    default_profiles,
     e_step,
     fit,
+    fit_normalization,
+    generate_dataset,
+    generate_video,
     record_header,
     result_record,
 )
+from oracles import tally_decision
 
 IDENTITY_STATS = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
 
@@ -53,6 +63,21 @@ class TestClusterLabelMap:
     def test_label_the_model_file_cannot_hold_rejected(self, label):
         with pytest.raises(DataError):
             ClusterLabelMap(labels=("wave", label), confidence=(1.0, 1.0))
+
+
+    def test_distinct_labels_belong_to_their_own_map(self):
+        maps = [
+            ClusterLabelMap(labels=labels, confidence=(1.0,) * len(labels))
+            for labels in (("wave", "pick", "wave"), ("stack",), ("push", "b", "push", "a"))
+        ]
+        maps.append(replace(maps[0], labels=("z", "y", "z"), confidence=(1.0,) * 3))
+        expected = [("pick", "wave"), ("stack",), ("a", "b", "push"), ("y", "z")]
+        assert [m.distinct_labels for m in maps] == expected
+        # computed once per map, and never shared or rewritten
+        assert maps[0].distinct_labels is maps[0].distinct_labels
+        with pytest.raises(FrozenInstanceError):
+            maps[1].distinct_labels = ("wave",)
+        assert maps[0] == ClusterLabelMap(labels=("wave", "pick", "wave"), confidence=(1.0,) * 3)
 
 
 class TestVote:
@@ -226,3 +251,58 @@ class TestSelfConsistency:
             owned = [row_labels[i] for i in np.nonzero(assignment == k)[0]]
             agree = sum(1 for lbl in owned if lbl == label_map.labels[k])
             assert label_map.confidence[k] == pytest.approx(agree / len(owned), abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def default_model():
+    """The default corpus (4 gestures x 20 videos x 150 frames, seed 0), trained
+    with k=4 and seed 0: (params, label_map, stats)."""
+    videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
+    raw_rows = np.vstack([compute_variances(v).rows for v in videos])
+    stats = fit_normalization(raw_rows)
+    params, resp, _ = fit(apply_normalization(raw_rows, stats), EmConfig(k=4, seed=0))
+    row_labels = [v.label for v in videos for _ in range(21)]
+    return params, build_label_map(np.argmax(resp, axis=1), row_labels, params.k), stats
+
+
+class TestDecisionOracle:
+    """classify_video against a hand tally of the E-step's posteriors."""
+
+    @staticmethod
+    def assert_matches_tally(result, posteriors, labels):
+        votes, counts, winner, margin = tally_decision(posteriors, labels)
+        assert result.votes == tuple(votes)
+        assert result.counts == counts
+        assert list(result.counts) == list(counts)
+        assert (result.winner, result.margin) == (winner, margin)
+
+    def test_default_model_on_fresh_gestures(self, default_model):
+        params, label_map, stats = default_model
+        profiles = default_profiles()
+        winners = set()
+        for i in range(200):
+            video = generate_video(profiles[i % 4], frames=150, seed=7000 + i, source_id=f"g{i}")
+            features = compute_variances(video)
+            result = classify_video(features, params, label_map, stats)
+            posteriors = e_step(apply_normalization(features.rows, stats), params)
+            self.assert_matches_tally(result, posteriors, label_map.labels)
+            winners.add(result.winner)
+        assert winners == set(label_map.labels)
+
+    def test_tied_posteriors_and_shared_labels(self, monkeypatch):
+        # coarse posteriors tie often, within a row and between labels' vote counts
+        rng = np.random.default_rng(11)
+        stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
+        feat = FeatureMatrix(rows=np.zeros((21, 3)), source_id="ties")
+        for trial in range(200):
+            k = int(rng.integers(1, 6))
+            labels = tuple(rng.choice(["a", "b", "c"], size=k).tolist())
+            label_map = ClusterLabelMap(labels=labels, confidence=(1.0,) * k)
+            params = MixtureParams(
+                means=np.zeros((k, 3)), covs=np.broadcast_to(np.eye(3), (k, 3, 3)),
+                weights=np.full(k, 1 / k),
+            )
+            posteriors = rng.integers(0, 3, size=(21, k)) / 4.0
+            monkeypatch.setattr(classify, "e_step", lambda data, params: posteriors)
+            result = classify_video(feat, params, label_map, stats)
+            self.assert_matches_tally(result, posteriors, labels)

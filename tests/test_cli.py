@@ -16,7 +16,7 @@ from gesturemix import (
     generate_dataset,
 )
 from gesturemix.gmm import COVARIANCE_MODES
-from gesturemix.io import write_feature_csv, write_video
+from gesturemix.io import load_model, write_feature_csv, write_video
 
 
 def run(capsys, *argv):
@@ -135,6 +135,41 @@ class TestTrain:
         assert code == 0
         assert "warning" in stderr
         assert (out / "model.gmm").exists()
+
+    def test_converged_covering_fit_prints_no_warning(self, tmp_path, capsys):
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        code, _, stderr = run(
+            capsys, "train", "--input", str(tmp_path / "data"), "--output", str(tmp_path / "o")
+        )
+        assert code == 0
+        assert stderr == ""
+
+    def test_unconverged_fit_warns_on_stderr_only(self, tmp_path, capsys):
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        out = tmp_path / "o"
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out),
+            "--max-iters", "1",
+        )
+        assert code == 0
+        keys = [line.split("=", 1)[0] for line in stdout.splitlines()]
+        assert keys == ["iterations", "converged", "log_likelihood", "silhouette", "model"]
+        assert stdout.startswith("iterations=1\nconverged=false\n")
+        assert stderr.startswith("warning: EM stopped at --max-iters 1 without converging")
+        assert load_model(out / "model.gmm").iterations == 1
+
+    def test_label_without_component_is_named_on_stderr(self, tmp_path, capsys):
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        out = tmp_path / "o"
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out), "--k", "2"
+        )
+        assert code == 0
+        assert "warning" not in stdout
+        labels = load_model(out / "model.gmm").label_map.labels
+        unowned = sorted({"wave", "pick", "stack", "push"} - set(labels))
+        assert len(unowned) >= 2  # two components cannot carry four labels
+        assert f"warning: no component is labelled {', '.join(unowned)};" in stderr
 
     def test_unlabeled_training_data_rejected(self, tmp_path, capsys):
         videos = generate_dataset(default_profiles(), videos_per_profile=2, frames=20, seed=2)

@@ -459,6 +459,25 @@ class TestValidation:
         with pytest.raises(NumericalError):
             mixture([np.zeros(3)], [np.diag([1.0, -1.0, 1.0])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_by_message(self, bad):
+        params = mixture([np.zeros(3)] * 2, [np.eye(3)] * 2)
+        x = np.zeros((4, 3))
+        x[3, 1] = bad
+        for call in (e_step, log_likelihood):
+            with pytest.raises(DataError, match=r"^non-finite data point$"):
+                call(x, params)
+        with pytest.raises(DataError, match=r"^non-finite component parameters$"):
+            mixture([np.zeros(3), np.array([0.0, bad, 0.0])], [np.eye(3)] * 2)
+
+    def test_vanished_density_is_numerical_error(self):
+        params = mixture([np.zeros(3)] * 2, [np.eye(3)] * 2)
+        far = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])  # squared distance overflows
+        vanished = r"^mixture density vanished for some data point$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=vanished):
+                e_step(far, params)
+
     def test_error_names_the_failing_component(self):
         covs = [np.eye(3), np.eye(3), np.diag([1.0, -1.0, 1.0])]
         with pytest.raises(NumericalError, match="component 2"):

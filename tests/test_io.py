@@ -779,7 +779,7 @@ class TestPlotExport:
         rows = np.vstack([f.rows for f in features])
         truth_groups = [f.label for f in features for _ in range(21)]
         assignment = np.argmax(resp, axis=1)
-        mapped = [model.label_map.label_for(a) for a in assignment]
+        mapped = [model.label_map.labels[a] for a in assignment]
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"
         export_plot_data(rows, truth_groups, before)
         export_plot_data(rows, mapped, after)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gesturemix import (
     DataError,
@@ -11,6 +15,7 @@ from gesturemix import (
     fit_normalization,
 )
 from gesturemix.landmarks import LANDMARK_COUNT, STD_FLOOR
+from oracles import population_variance
 
 
 def make_video(frames, source_id="vid", label=None):
@@ -74,6 +79,51 @@ class TestComputeVariances:
         a = compute_variances(make_video(frames)).rows
         b = compute_variances(make_video(frames + offset)).rows
         assert np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+def _outcome(call):
+    """What a call returns or its DataError message, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = call()
+        except DataError as exc:
+            outcome = f"DataError: {exc}"
+    return outcome, [str(w.message) for w in caught]
+
+
+class TestVarianceOracle:
+    """compute_variances runs np.var's own ufunc steps, so it equals np.var bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        count=st.integers(2, 300),
+        exponent=st.integers(-40, 1023),
+        centre=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        spike=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    @example(count=150, exponent=1023, centre=0.9, seed=1, spike=None)  # the mean overflows
+    @example(count=150, exponent=600, centre=0.0, seed=1, spike=None)  # the squares overflow
+    @example(count=300, exponent=0, centre=0.5, seed=1, spike=None)  # finite, 300 frames
+    def test_rows_equal_numpy_var(self, count, exponent, centre, seed, spike):
+        # |centre + u| < 2, so every frame value is finite up to 2**1023 scale
+        rng = np.random.default_rng(seed)
+        frames = (centre + rng.uniform(-1.0, 1.0, size=(count, LANDMARK_COUNT, 3))) * 2.0**exponent
+        if spike is not None:
+            frames[tuple(rng.integers(frames.shape))] = spike
+            with pytest.raises(DataError) as excinfo:
+                make_video(frames, source_id="prop")
+            assert str(excinfo.value) == "non-finite landmark coordinate in 'prop'"
+            return
+        video = make_video(frames, source_id="prop")
+        expected, expected_warnings = _outcome(lambda: population_variance(frames))
+        got, got_warnings = _outcome(lambda: compute_variances(video))
+        assert got_warnings == expected_warnings
+        if np.isfinite(expected).all():
+            assert np.array_equal(got.rows, expected)
+        else:  # overflow: the feature matrix refuses the non-finite rows
+            assert got == "DataError: NaN or infinite feature value in 'prop'"
 
 
 class TestVideoValidation:
@@ -156,6 +206,42 @@ class TestFeatureMatrixValidation:
     def test_nonpositive_std_rejected(self):
         with pytest.raises(DataError):
             NormalizationStats(mean=np.zeros(3), std=np.array([1.0, 0.0, 1.0]))
+
+
+class TestCheckMessages:
+    """Each check of the video, feature matrix and normalization stats raises its own message."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, bad):
+        frames = np.zeros((3, 21, 3))
+        frames[2, 20, 1] = bad
+        rows = np.zeros((21, 3))
+        rows[5, 0] = bad
+        cases = [
+            (lambda: make_video(frames, source_id="v"), "non-finite landmark coordinate in 'v'"),
+            (lambda: FeatureMatrix(rows=rows, source_id="f"),
+             "NaN or infinite feature value in 'f'"),
+            (lambda: NormalizationStats(mean=np.array([0.0, bad, 0.0]), std=np.ones(3)),
+             "non-finite normalization stats"),
+            (lambda: NormalizationStats(mean=np.zeros(3), std=np.array([1.0, 1.0, bad])),
+             "non-finite normalization stats"),
+        ]
+        for build, message in cases:
+            with pytest.raises(DataError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
+    def test_sign_checks(self):
+        rows = np.zeros((21, 3))
+        rows[20, 2] = -1e-300
+        with pytest.raises(DataError, match=r"^negative variance in 'f'$"):
+            FeatureMatrix(rows=rows, source_id="f")
+        for std in ([1.0, 0.0, 1.0], [1.0, -2.0, 1.0]):
+            with pytest.raises(DataError, match=r"^normalization stds must be strictly positive$"):
+                NormalizationStats(mean=np.zeros(3), std=np.array(std))
+
+    def test_negative_zero_is_not_negative(self):
+        assert FeatureMatrix(rows=np.full((21, 3), -0.0), source_id="f").rows.shape == (21, 3)
 
 
 class TestNames:
