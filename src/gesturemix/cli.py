@@ -61,7 +61,10 @@ def _ingest_features(path: Path):
     """
     if path.is_dir():
         videos = read_video_dir(path)
-        features = [compute_variances(v) for v in videos]
+        # an overflowing variance is reported by compute_variances as a data
+        # error, so numpy's own warning would only repeat it
+        with np.errstate(over="ignore"):
+            features = [compute_variances(v) for v in videos]
         total_frames = sum(v.frame_count for v in videos)
     elif path.is_file():
         features, total_frames = read_feature_csv(path), None
@@ -135,8 +138,8 @@ def cmd_train(args) -> int:
     params, resp, trace = fit(data, config)
     assignment = np.argmax(resp, axis=1)
     label_map = build_label_map(assignment, row_labels, params.k)
-    report = silhouette(data, assignment)
-    # Suspect fits still exit 0 with unchanged stdout; stderr says what is wrong.
+    # An unconverged fit and, with fewer components than labels, an uncovered
+    # label still exit 0 with unchanged stdout; stderr says what is wrong.
     if not trace.converged:
         last_change = trace.log_likelihoods[-1] - trace.log_likelihoods[-2]
         print(
@@ -144,13 +147,26 @@ def cmd_train(args) -> int:
             f"(last log-likelihood change {last_change:.3g}, --tol {config.tol:g})",
             file=sys.stderr,
         )
+    if trace.screened:
+        print(
+            "note: EM start 0 had not converged within its screen; starts 0-"
+            f"{len(trace.screened) - 1} scored "
+            f"{', '.join(f'{ll:.6g}' for ll in trace.screened)}; kept start {trace.start}",
+            file=sys.stderr,
+        )
     unowned = sorted(set(distinct) - set(label_map.labels))
+    if unowned and config.k >= len(distinct):
+        raise NumericalError(
+            f"no component is labelled {', '.join(unowned)} "
+            f"(k={config.k} for {len(distinct)} training labels); no model written"
+        )
     if unowned:
         print(
             f"warning: no component is labelled {', '.join(unowned)}; "
             "classify can never return these gestures",
             file=sys.stderr,
         )
+    report = silhouette(data, assignment)
 
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

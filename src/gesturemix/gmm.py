@@ -26,9 +26,14 @@ and the M-step re-estimates, with N_k = sum_n r_nk,
 
 which are the stationarity conditions of the log-likelihood
 L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k).
+
+EM finds a local maximum of L that depends on its start. `fit` screens further
+starts with short runs of EM (Biernacki, Celeux & Govaert 2003, "Choosing
+starting values for the EM algorithm...", CSDA 41), but only when the first
+start has not converged within the screen, so a quick fit costs nothing extra.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +46,15 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # and reseeded.
 EMPTY_COMPONENT_MASS = 1e-10
 _MAX_RESEEDS = 3
+
+# Restart screening in `fit`: when start 0 has not converged after
+# _SCREEN_ITERS iterations, starts 1.._STARTS-1 run as many, and one replaces
+# the best so far only when its log-likelihood is higher by more than
+# _SCREEN_MARGIN nats per data point. A relative margin keeps a start that
+# wins by an almost-empty "spike" component from displacing start 0.
+_STARTS = 4
+_SCREEN_ITERS = 30
+_SCREEN_MARGIN = 0.05
 
 COVARIANCE_MODES = ("full", "diag")
 
@@ -159,12 +173,18 @@ class EmTrace:
     later entry follows one E/M update, so the sequence is non-decreasing (up
     to 1e-9 slack) unless a reseed event intervenes. `reseeds` records
     (iteration, component) pairs where an empty component was reinitialized.
+    These four fields describe the returned start, whose index is `start`.
+    `screened` holds every screened start's log-likelihood at the end of its
+    screen (-inf for a start that failed numerically); it is empty when start 0
+    converged within the screen.
     """
 
     log_likelihoods: list[float] = field(default_factory=list)
     n_iters: int = 0
     converged: bool = False
     reseeds: list[tuple[int, int]] = field(default_factory=list)
+    start: int = 0
+    screened: list[float] = field(default_factory=list)
 
 
 def _as_data(data) -> np.ndarray:
@@ -184,10 +204,18 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T)
 
 
-def _posteriors(xt: np.ndarray, params: MixtureParams):
+_NO_WORK = (None, None)
+
+
+def _posteriors(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
     """Responsibilities r_kn, shape (K, N), of the points in the columns of xt
-    (d, N), and the log normalizers log sum_k pi_k N(x_n | mu_k, Sigma_k), (N,)."""
-    z = params.prec_chol @ (xt - params.means[:, :, None])  # P_k (x_n - mu_k), (K, d, N)
+    (d, N), and the log normalizers log sum_k pi_k N(x_n | mu_k, Sigma_k), (N,).
+
+    `work` is a pair of (K, d, N) arrays that receive the temporaries, or Nones
+    to allocate them."""
+    diff, z = work
+    diff = np.subtract(xt, params.means[:, :, None], out=diff)
+    z = np.matmul(params.prec_chol, diff, out=z)  # P_k (x_n - mu_k), (K, d, N)
     np.square(z, out=z)
     log_joint = np.add.reduce(z, axis=1)  # squared Mahalanobis distances
     log_joint *= -0.5
@@ -213,9 +241,9 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
     return resp.T
 
 
-def _e_step_with_norm(xt: np.ndarray, params: MixtureParams):
+def _e_step_with_norm(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
     """Responsibilities as (K, N) and the per-point log normalizers."""
-    resp, log_norm = _posteriors(xt, params)
+    resp, log_norm = _posteriors(xt, params, work)
     if not all_finite(log_norm):
         raise NumericalError("mixture density vanished for some data point")
     return resp, log_norm
@@ -231,9 +259,9 @@ def m_step(data, resp, reg_eps: float = 1e-6, covariance_mode: str = "full") -> 
     return _m_step(_columns(x), r, r.sum(axis=1), reg_eps, covariance_mode)
 
 
-def _m_step(xt, r, mass, reg_eps, covariance_mode) -> MixtureParams:
+def _m_step(xt, r, mass, reg_eps, covariance_mode, work=_NO_WORK) -> MixtureParams:
     """m_step on points as columns xt (d, N), responsibilities r (K, N) and their
-    row sums `mass`."""
+    row sums `mass`; `work` as in `_posteriors`."""
     empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
     if empty.size:
         raise NumericalError(f"component {int(empty[0])} has no responsibility mass")
@@ -241,8 +269,10 @@ def _m_step(xt, r, mass, reg_eps, covariance_mode) -> MixtureParams:
     weights = mass / n
     weights = weights / weights.sum()
     means = (r @ xt.T) / mass[:, None]
-    diff = xt - means[:, :, None]  # (K, d, N)
-    covs = (diff * r[:, None, :]) @ diff.transpose(0, 2, 1) / mass[:, None, None]
+    diff, weighted = work
+    diff = np.subtract(xt, means[:, :, None], out=diff)  # (K, d, N)
+    weighted = np.multiply(diff, r[:, None, :], out=weighted)
+    covs = weighted @ diff.transpose(0, 2, 1) / mass[:, None, None]
     covs = _restrict(covs, covariance_mode) + reg_eps * np.eye(d)
     return MixtureParams(means=means, covs=covs, weights=weights)
 
@@ -311,43 +341,98 @@ def _reseed_component(
     return MixtureParams(means=means, covs=covs, weights=weights)
 
 
+class _Run:
+    """EM from one set of starting parameters, advanced on request.
+
+    Every run of one fit shares `work`, the two (K, d, N) temporaries of the E-
+    and M-steps; a run keeps only its parameters, responsibilities and trace.
+    """
+
+    def __init__(self, x, xt, params, config: EmConfig, work):
+        self.x, self.xt, self.config, self.work = x, xt, config, work
+        self.trace = EmTrace()
+        self.params, self.resp, self.mass, ll = self._checked_e_step(params, 0)
+        self.trace.log_likelihoods.append(ll)
+
+    def _checked_e_step(self, params, iteration):
+        # Reseed any component whose posterior mass has collapsed to zero. Each
+        # pass returns, raises or records a reseed, and reseeds are capped.
+        reseeds = self.trace.reseeds
+        while True:
+            resp, log_norm = _e_step_with_norm(self.xt, params, self.work)
+            mass = resp.sum(axis=1)
+            empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
+            if empty.size == 0:
+                return params, resp, mass, float(log_norm.sum())
+            if len(reseeds) >= _MAX_RESEEDS:
+                raise NumericalError(
+                    f"component {int(empty[0])} stayed empty after "
+                    f"{_MAX_RESEEDS} reseeds (iteration {iteration}); "
+                    "try a smaller k or different seed"
+                )
+            reseeds.append((iteration, int(empty[0])))
+            params = _reseed_component(self.x, params, int(empty[0]), self.config)
+
+    def advance(self, n_iters: int) -> float:
+        """Iterate until converged or `n_iters` iterations in all; returns the
+        last log-likelihood. Stopping and advancing again gives the parameters
+        of one uninterrupted run."""
+        config, trace = self.config, self.trace
+        lls = trace.log_likelihoods
+        while not trace.converged and trace.n_iters < n_iters:
+            iteration = trace.n_iters + 1
+            params = _m_step(
+                self.xt, self.resp, self.mass, config.reg_eps, config.covariance_mode, self.work
+            )
+            self.params, self.resp, self.mass, ll = self._checked_e_step(params, iteration)
+            lls.append(ll)
+            trace.n_iters = iteration
+            trace.converged = abs(ll - lls[-2]) < config.tol
+        return lls[-1]
+
+
+def _start_seed(seed: int, start: int) -> int:
+    """The initialization seed of restart `start` >= 1 of a fit seeded `seed`."""
+    return int(np.random.SeedSequence([seed, start]).generate_state(1)[0])
+
+
 def fit(data, config: EmConfig):
     """Run EM until the log-likelihood change drops below tol or max_iters.
+
+    Start 0 is `initialize(data, config)`. If it has not converged after
+    S = min(_SCREEN_ITERS, max_iters) iterations, starts r = 1.._STARTS-1 run S
+    iterations each from `initialize` with seed _start_seed(config.seed, r); a
+    start replaces the best so far only when its log-likelihood then is higher
+    by more than _SCREEN_MARGIN * N, so ties keep the lower index. A screened
+    start that fails numerically is passed over. The best start alone runs on
+    to tol or max_iters, along the same path as if it had never paused.
 
     Returns (MixtureParams, responsibility matrix, EmTrace); the responsibilities
     correspond to the returned parameters.
     """
     x = _as_data(data)
     xt = _columns(x)
-    params = initialize(x, config)
-    trace = EmTrace()
-
-    def checked_e_step(params, iteration):
-        # Reseed any component whose posterior mass has collapsed to zero. Each
-        # pass returns, raises or records a reseed, and reseeds are capped.
-        while True:
-            resp, log_norm = _e_step_with_norm(xt, params)
-            mass = resp.sum(axis=1)
-            empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
-            if empty.size == 0:
-                return params, resp, mass, float(log_norm.sum())
-            if len(trace.reseeds) >= _MAX_RESEEDS:
-                raise NumericalError(
-                    f"component {int(empty[0])} stayed empty after "
-                    f"{_MAX_RESEEDS} reseeds (iteration {iteration}); "
-                    "try a smaller k or different seed"
+    n, d = x.shape
+    work = (np.empty((config.k, d, n)), np.empty((config.k, d, n)))
+    screen = min(_SCREEN_ITERS, config.max_iters)
+    best = _Run(x, xt, initialize(x, config), config, work)
+    best_ll = best.advance(screen)
+    screened = []
+    if not best.trace.converged:
+        screened.append(best_ll)
+        for start in range(1, _STARTS):
+            try:
+                run = _Run(
+                    x, xt, initialize(x, replace(config, seed=_start_seed(config.seed, start))),
+                    config, work,
                 )
-            trace.reseeds.append((iteration, int(empty[0])))
-            params = _reseed_component(x, params, int(empty[0]), config)
-
-    params, resp, mass, ll = checked_e_step(params, 0)
-    trace.log_likelihoods.append(ll)
-    for iteration in range(1, config.max_iters + 1):
-        params = _m_step(xt, resp, mass, config.reg_eps, config.covariance_mode)
-        params, resp, mass, ll = checked_e_step(params, iteration)
-        trace.log_likelihoods.append(ll)
-        trace.n_iters = iteration
-        if abs(ll - trace.log_likelihoods[-2]) < config.tol:
-            trace.converged = True
-            break
-    return params, resp.T, trace
+                ll = run.advance(screen)
+            except NumericalError:
+                ll = -np.inf
+            screened.append(ll)
+            if ll > best_ll + _SCREEN_MARGIN * n:
+                best, best_ll = run, ll
+                best.trace.start = start
+        best.advance(config.max_iters)
+    best.trace.screened = screened
+    return best.params, best.resp.T, best.trace

@@ -136,6 +136,10 @@ def compute_variances(video: GestureVideo) -> FeatureMatrix:
     The steps are the ufunc calls np.var(frames, axis=0) makes, in its order,
     so the rows equal np.var's bit for bit: sum over frames, divide by F,
     subtract, square, sum, divide by F.
+
+    Finite coordinates above about 1e154 in magnitude overflow the square;
+    that is reported as a DataError naming the overflow, after numpy's own
+    overflow warning (callers may silence it with np.errstate).
     """
     frames = video.frames
     count = frames.shape[0]
@@ -145,7 +149,15 @@ def compute_variances(video: GestureVideo) -> FeatureMatrix:
     np.square(dev, out=dev)
     rows = _sum(dev, axis=0)
     rows /= count
-    return FeatureMatrix(rows=rows, source_id=video.source_id, label=video.label)
+    try:
+        return FeatureMatrix(rows=rows, source_id=video.source_id, label=video.label)
+    except DataError as exc:
+        # the video's names and frames passed their checks, so only a variance
+        # that overflowed to infinity can fail the feature matrix's
+        raise DataError(
+            f"landmark variance overflows in {video.source_id!r}: coordinates are "
+            "too large to square in double precision"
+        ) from exc
 
 
 def fit_normalization(rows) -> NormalizationStats:

@@ -136,16 +136,26 @@ class TestTrain:
         assert "warning" in stderr
         assert (out / "model.gmm").exists()
 
-    def test_converged_covering_fit_prints_no_warning(self, tmp_path, capsys):
-        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+    def test_fit_converged_within_the_screen_writes_nothing_to_stderr(self, tmp_path, capsys):
+        make_corpus(tmp_path / "data")  # start 0 converges in 14 iterations
         code, _, stderr = run(
             capsys, "train", "--input", str(tmp_path / "data"), "--output", str(tmp_path / "o")
         )
         assert code == 0
         assert stderr == ""
 
+    def test_screened_fit_writes_one_note_and_no_warning(self, tmp_path, capsys):
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)  # 67 iterations
+        out = tmp_path / "o"
+        code, stdout, stderr = run(capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out))
+        assert code == 0
+        (note,) = stderr.splitlines()
+        assert note.startswith("note: EM start 0 had not converged within its screen; starts 0-3 scored ")
+        assert note.endswith("; kept start 0")
+        assert stdout.startswith("iterations=67\nconverged=true\n")
+
     def test_unconverged_fit_warns_on_stderr_only(self, tmp_path, capsys):
-        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        make_corpus(tmp_path / "data")  # one iteration already gives every label a component
         out = tmp_path / "o"
         code, stdout, stderr = run(
             capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out),
@@ -170,6 +180,71 @@ class TestTrain:
         unowned = sorted({"wave", "pick", "stack", "push"} - set(labels))
         assert len(unowned) >= 2  # two components cannot carry four labels
         assert f"warning: no component is labelled {', '.join(unowned)};" in stderr
+
+    def test_uncovered_label_with_enough_components_is_numerical_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        videos = make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        # per label, the components of its two videos (in file order): the
+        # stack videos join the wave and pick majorities, push takes two
+        plan = {"wave": [0, 0], "pick": [1, 1], "stack": [0, 1], "push": [2, 3]}
+        assignment = []
+        for video in sorted(videos, key=lambda v: v.source_id):
+            assignment += [plan[video.label].pop(0)] * 21
+        fit = cli.fit
+
+        def collapsed_fit(data, config):
+            params, _, trace = fit(data, config)
+            return params, np.eye(config.k)[assignment], trace
+
+        monkeypatch.setattr(cli, "fit", collapsed_fit)
+        out = tmp_path / "o"
+        code, stdout, stderr = run(capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out))
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines()[-1] == (
+            "numerical failure: no component is labelled stack "
+            "(k=4 for 4 training labels); no model written"
+        )
+        assert not out.exists()  # no model.gmm, no plot export
+
+    def test_seed_3_corpus_trains_every_label(self, tmp_path, capsys):
+        # start 0 collapses here (two components labelled wave, none stack);
+        # a screened restart finds one component per gesture
+        videos = generate_dataset(default_profiles(), videos_per_profile=50, frames=150, seed=3)
+        videos.sort(key=lambda v: v.source_id)  # the row order of the video directory
+        csv = tmp_path / "features.csv"
+        write_feature_csv([compute_variances(v) for v in videos], csv)
+        out = tmp_path / "o"
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(csv), "--output", str(out), "--k", "4", "--seed", "0"
+        )
+        assert code == 0
+        assert "converged=true" in stdout
+        assert "warning" not in stderr
+        assert stderr.startswith("note: EM start 0 had not converged")
+        assert sorted(load_model(out / "model.gmm").label_map.labels) == [
+            "pick", "push", "stack", "wave"
+        ]
+
+    def test_overflowing_variance_is_data_error_without_numpy_warning(self, tmp_path, cli_env):
+        data = tmp_path / "data"
+        data.mkdir()
+        frames = np.random.default_rng(0).random((5, 21, 3))
+        for name, scale in (("v0", 1e200), ("v1", 1.0)):
+            video = GestureVideo(frames=frames * scale, source_id=name, label=name)
+            write_video(video, data / f"{name}.landmarks")
+        done = subprocess.run(
+            [sys.executable, "-m", "gesturemix.cli", "train", "--input", str(data),
+             "--output", str(tmp_path / "o")],
+            env=cli_env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "data error: landmark variance overflows in 'v0': "
+            "coordinates are too large to square in double precision\n"
+        )
 
     def test_unlabeled_training_data_rejected(self, tmp_path, capsys):
         videos = generate_dataset(default_profiles(), videos_per_profile=2, frames=20, seed=2)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,20 @@ from gesturemix import (
     MixtureParams,
     NormalizationStats,
     NumericalError,
+    apply_normalization,
+    build_label_map,
     classify_video,
+    compute_variances,
+    default_profiles,
     e_step,
     fit,
+    fit_normalization,
+    generate_dataset,
     initialize,
     log_likelihood,
     m_step,
 )
+from gesturemix import gmm
 from oracles import direct_density
 
 
@@ -433,6 +441,145 @@ class TestReseed:
         monkeypatch.setattr(gmm, "_reseed_component", lambda x, params, k, config: params)
         with pytest.raises(NumericalError, match="component 1 stayed empty after 3 reseeds"):
             fit(stranded_start, EmConfig(k=2, seed=0))
+
+
+def gesture_rows(videos_per_profile, frames, seed):
+    """Normalized training rows of a synthetic corpus in the row order `train`
+    reads its video directory in, and each row's label."""
+    videos = generate_dataset(
+        default_profiles(), videos_per_profile=videos_per_profile, frames=frames, seed=seed
+    )
+    videos.sort(key=lambda v: v.source_id)
+    raw = np.vstack([compute_variances(v).rows for v in videos])
+    labels = [v.label for v in videos for _ in range(21)]
+    return apply_normalization(raw, fit_normalization(raw)), labels
+
+
+@pytest.fixture(scope="module")
+def seed_3_corpus():
+    """Start 0 (training seed 0) runs 500 iterations unconverged to -9119.38 on
+    these rows, with two components labelled wave and none stack."""
+    return gesture_rows(50, 150, 3)
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    """168 rows on which start 0 needs 67 iterations and screened start 1 is
+    higher by 7.3 nats (0.044 per point) at the end of the screen."""
+    return gesture_rows(2, 20, 9)[0]
+
+
+def same_fit(a, b):
+    (pa, ra, ta), (pb, rb, tb) = a, b
+    return (
+        np.array_equal(pa.means, pb.means)
+        and np.array_equal(pa.covs, pb.covs)
+        and np.array_equal(pa.weights, pb.weights)
+        and np.array_equal(ra, rb)
+        and ta == tb
+    )
+
+
+class TestScreenedStarts:
+    def test_collapsed_start_is_replaced_by_a_covering_fit(self, seed_3_corpus):
+        x, labels = seed_3_corpus
+        params, resp, trace = fit(x, EmConfig(k=4, seed=0))
+        assert trace.converged
+        assert trace.log_likelihoods[-1] == pytest.approx(-8026.506, abs=1e-3)
+        assert trace.start != 0
+        assert len(trace.screened) == gmm._STARTS
+        assert trace.screened[0] < trace.screened[trace.start] - gmm._SCREEN_MARGIN * len(x)
+        label_map = build_label_map(resp.argmax(axis=1), labels, 4)
+        assert sorted(label_map.labels) == ["pick", "push", "stack", "wave"]
+        assert np.all(np.diff(trace.log_likelihoods) >= -1e-9)
+
+    def test_start_converged_within_the_screen_is_the_whole_fit(self, monkeypatch):
+        x = sample_mixture(np.random.default_rng(20), np.eye(3) * 4, 0.3, 100)
+        screened = fit(x, EmConfig(k=3, seed=1))
+        assert screened[2].n_iters < gmm._SCREEN_ITERS
+        assert screened[2].screened == [] and screened[2].start == 0
+        monkeypatch.setattr(gmm, "_STARTS", 1)
+        monkeypatch.setattr(gmm, "_SCREEN_ITERS", 10**6)  # no pause at all
+        assert same_fit(fit(x, EmConfig(k=3, seed=1)), screened)
+
+    def test_continued_winner_equals_an_uninterrupted_run(self, small_corpus, monkeypatch):
+        x = small_corpus
+        params, resp, trace = fit(x, EmConfig(k=4, seed=0))
+        assert trace.start == 0 and trace.n_iters > gmm._SCREEN_ITERS
+        monkeypatch.setattr(gmm, "_STARTS", 1)
+        monkeypatch.setattr(gmm, "_SCREEN_ITERS", 10**6)
+        p1, r1, t1 = fit(x, EmConfig(k=4, seed=0))
+        assert t1.screened == [] and t1.log_likelihoods == trace.log_likelihoods
+        assert np.array_equal(p1.means, params.means) and np.array_equal(r1, resp)
+
+    def test_gain_below_the_margin_keeps_start_0(self, small_corpus, monkeypatch):
+        x, n = small_corpus, len(small_corpus)
+        trace = fit(x, EmConfig(k=4, seed=0))[2]
+        gain = max(trace.screened[1:]) - trace.screened[0]
+        assert 0 < gain < gmm._SCREEN_MARGIN * n and trace.start == 0
+        best = 1 + int(np.argmax(trace.screened[1:]))
+        monkeypatch.setattr(gmm, "_SCREEN_MARGIN", gain / n * 0.999)
+        assert fit(x, EmConfig(k=4, seed=0))[2].start == best
+        monkeypatch.setattr(gmm, "_SCREEN_MARGIN", gain / n * 1.001)
+        assert fit(x, EmConfig(k=4, seed=0))[2].start == 0
+
+    def test_equal_screens_go_to_the_lower_index(self, seed_3_corpus, monkeypatch):
+        x, _ = seed_3_corpus
+        initialize = gmm.initialize
+        config = EmConfig(k=4, seed=0)
+        start_2 = replace(config, seed=gmm._start_seed(0, 2))
+        # starts 1, 2 and 3 all begin where start 2 would
+        monkeypatch.setattr(
+            gmm, "initialize",
+            lambda data, c: initialize(data, c if c.seed == 0 else start_2),
+        )
+        trace = fit(x, config)[2]
+        assert trace.screened[1] == trace.screened[2] == trace.screened[3]
+        assert trace.start == 1
+
+    @pytest.mark.parametrize("max_iters", [1, 5])
+    def test_max_iters_below_the_screen(self, seed_3_corpus, max_iters):
+        x, _ = seed_3_corpus
+        params, resp, trace = fit(x, EmConfig(k=4, seed=0, max_iters=max_iters))
+        assert trace.n_iters == max_iters
+        assert len(trace.log_likelihoods) == max_iters + 1
+        assert not trace.converged
+        assert len(trace.screened) == gmm._STARTS
+        assert trace.log_likelihoods[-1] == trace.screened[trace.start]
+        assert log_likelihood(x, params) == pytest.approx(trace.log_likelihoods[-1], rel=1e-12)
+
+    def test_repeated_calls_are_identical(self, seed_3_corpus):
+        x, _ = seed_3_corpus
+        config = EmConfig(k=4, seed=0)
+        assert same_fit(fit(x, config), fit(x, config))
+
+    def test_start_seeds_come_from_the_fit_seed(self):
+        seeds = [gmm._start_seed(7, r) for r in range(1, gmm._STARTS)]
+        assert seeds == [
+            int(np.random.SeedSequence([7, r]).generate_state(1)[0]) for r in range(1, 4)
+        ]
+        assert len(set(seeds)) == len(seeds)
+
+    def test_numerically_failing_start_is_passed_over(self, small_corpus, monkeypatch):
+        x = small_corpus
+        expected = fit(x, EmConfig(k=4, seed=0))
+        initialize = gmm.initialize
+
+        def broken_later_starts(data, config):
+            params = initialize(data, config)
+            if config.seed == 0:
+                return params
+            # a component far from every point: empty, and reseeding is refused
+            means = params.means.copy()
+            means[1] = 1e3
+            return MixtureParams(means=means, covs=params.covs, weights=params.weights)
+
+        monkeypatch.setattr(gmm, "initialize", broken_later_starts)
+        monkeypatch.setattr(gmm, "_reseed_component", lambda x, params, k, config: params)
+        params, resp, trace = fit(x, EmConfig(k=4, seed=0))
+        assert trace.screened[1:] == [-np.inf] * 3
+        assert trace.start == 0
+        assert trace.log_likelihoods == expected[2].log_likelihoods
 
 
 class TestValidation:

@@ -122,8 +122,11 @@ class TestVarianceOracle:
         assert got_warnings == expected_warnings
         if np.isfinite(expected).all():
             assert np.array_equal(got.rows, expected)
-        else:  # overflow: the feature matrix refuses the non-finite rows
-            assert got == "DataError: NaN or infinite feature value in 'prop'"
+        else:  # overflow: the error names it, not the input
+            assert got == (
+                "DataError: landmark variance overflows in 'prop': "
+                "coordinates are too large to square in double precision"
+            )
 
 
 class TestVideoValidation:
