@@ -182,10 +182,10 @@ def cmd_train(args) -> int:
     model_path = out / "model.gmm"
     save_model(model, model_path)
 
-    export_plot_data(raw_rows, row_labels, out / "train_plot_before.csv")
-    export_plot_data(
-        raw_rows, [label_map.labels[a] for a in assignment], out / "train_plot_after.csv"
-    )
+    export_plot_data(raw_rows, {
+        out / "train_plot_before.csv": row_labels,
+        out / "train_plot_after.csv": [label_map.labels[a] for a in assignment],
+    })
 
     print(f"iterations={trace.n_iters}")
     print(f"converged={str(trace.converged).lower()}")

@@ -154,52 +154,87 @@ def write_feature_csv(features: Sequence[FeatureMatrix], path) -> None:
     _write_lines(path, lines)
 
 
+# The lm column of a whole file: 1..21, once per video.
+_LM_CYCLE = [str(lm) for lm in range(1, LANDMARK_COUNT + 1)]
+
+
 def read_feature_csv(path) -> list[FeatureMatrix]:
+    """The videos of a feature CSV. The layout is checked for the whole file at
+    once (6 cells a row, lm = 1..21 per video, one source_id and label per
+    video), then each value column is parsed in one pass."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines or lines[0] != FEATURE_CSV_HEADER:
         raise DataError(f"{path}: missing '{FEATURE_CSV_HEADER}' header")
-    # (physical line number, text) of each data row; blank lines are skipped but counted
-    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
-    if len(rows) % LANDMARK_COUNT != 0:
+    rows = [line for line in lines[1:] if line.strip()]
+    n = len(rows)
+    if n % LANDMARK_COUNT != 0:
+        raise DataError(f"{path}: {n} data rows is not a multiple of {LANDMARK_COUNT}")
+    if not rows:
+        return []
+    # the physical line number of each row: blank lines are skipped but counted
+    lineno = range(2, n + 2) if n == len(lines) - 1 else [
+        no for no, line in enumerate(lines[1:], start=2) if line.strip()
+    ]
+    commas = [line.count(",") for line in rows]
+    if commas.count(5) != n:
+        i = next(i for i, count in enumerate(commas) if count != 5)
+        raise DataError(f"{path}: row {lineno[i]} has {commas[i] + 1} cells, expected 6")
+    # every row holds 6 cells, so cell j of row i is cells[6 i + j]: one flat
+    # list of strings, rather than a list per row, for the whole file
+    cells = ",".join(rows).split(",")
+    lm, source_ids, labels = cells[0::6], cells[4::6], cells[5::6]
+    if lm != _LM_CYCLE * (n // LANDMARK_COUNT):
+        i = next(i for i, cell in enumerate(lm) if cell != _LM_CYCLE[i % LANDMARK_COUNT])
         raise DataError(
-            f"{path}: {len(rows)} data rows is not a multiple of {LANDMARK_COUNT}"
+            f"{path}: row {lineno[i]} has lm={lm[i]}, expected {i % LANDMARK_COUNT + 1}"
         )
-    features = []
-    for start in range(0, len(rows), LANDMARK_COUNT):
-        block = rows[start:start + LANDMARK_COUNT]
-        matrix = np.empty((LANDMARK_COUNT, COORD_DIM))
-        first = block[0][1].split(",")
-        for offset, (lineno, line) in enumerate(block):
-            cells = line.split(",")
-            if len(cells) != 6:
-                raise DataError(f"{path}: row {lineno} has {len(cells)} cells, expected 6")
-            if cells[0] != str(offset + 1):
-                raise DataError(f"{path}: row {lineno} has lm={cells[0]}, expected {offset + 1}")
-            if cells[4:] != first[4:]:
-                raise DataError(f"{path}: source_id or label changes mid-video at row {lineno}")
-            matrix[offset] = _parse_floats(cells[1:4], lambda: f"{path} row {lineno}")
-        features.append(_checked(f"{path} row {block[0][0]}", lambda: FeatureMatrix(
-            rows=matrix, source_id=first[4], label=first[5] or None
-        )))
-    return features
+    if any(
+        column[offset::LANDMARK_COUNT] != column[::LANDMARK_COUNT]
+        for column in (source_ids, labels) for offset in range(1, LANDMARK_COUNT)
+    ):
+        heads = [i - i % LANDMARK_COUNT for i in range(n)]
+        i = next(
+            i for i, head in enumerate(heads)
+            if source_ids[i] != source_ids[head] or labels[i] != labels[head]
+        )
+        raise DataError(f"{path}: source_id or label changes mid-video at row {lineno[i]}")
+    values = np.empty((n, COORD_DIM))
+    try:
+        for j in range(COORD_DIM):
+            values[:, j] = list(map(float, cells[1 + j::6]))
+    except ValueError:
+        for i in range(n):  # raises on the file's first bad cell
+            _parse_floats(cells[6 * i + 1:6 * i + 4], lambda: f"{path} row {lineno[i]}")
+        raise  # not reached: some cell failed to parse above
+    return [
+        _checked(f"{path} row {lineno[start]}", lambda: FeatureMatrix(
+            rows=values[start:start + LANDMARK_COUNT],
+            source_id=source_ids[start],
+            label=labels[start] or None,
+        ))
+        for start in range(0, n, LANDMARK_COUNT)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Plot-data export (scatter of variance features by group)
 
 
-def export_plot_data(rows, groups, path) -> None:
-    """Columnar var_x,var_y,var_z,group file for external plotting tools."""
+def export_plot_data(rows, files) -> None:
+    """Columnar var_x,var_y,var_z,group files for external plotting tools: the
+    same rows in each file, grouped by the `files[path]` entry for each row.
+    The rows are formatted once for all the files."""
     x = np.asarray(rows, dtype=np.float64)
-    groups = list(groups)
     if x.ndim != 2 or x.shape[1] != COORD_DIM:
         raise DataError(f"plot rows must be (M, {COORD_DIM}), got {x.shape}")
-    if len(groups) != x.shape[0]:
-        raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
-    lines = [PLOT_HEADER]
-    lines += [f"{_VARIANCE_ROW % tuple(row)},{group}" for row, group in zip(x.tolist(), groups)]
-    _write_lines(path, lines)
+    files = {path: list(groups) for path, groups in files.items()}
+    for groups in files.values():
+        if len(groups) != x.shape[0]:
+            raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
+    values = [_VARIANCE_ROW % tuple(row) for row in x.tolist()]
+    for path, groups in files.items():
+        _write_lines(path, [PLOT_HEADER, *map("{},{}".format, values, groups)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ clusters (and points where a = b = 0) score 0. The overall score is the mean
 of the per-point values.
 """
 
+import contextvars
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +17,17 @@ from .errors import DataError
 
 # Bytes of each of the two (B, N) buffers, the distance block and its scratch:
 # B = this // (8 N) rows, within [8, 256]. Sized by bytes rather than rows, so
-# the pair stays near cache size as N grows; memory grows with N, not N squared.
+# the pair stays near cache size as N grows. Every thread has its own pair, so
+# memory is about 2 MiB per thread: it grows with N, not N squared.
 _BLOCK_BYTES = 2**20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -56,15 +67,23 @@ def silhouette(data, assignment) -> SilhouetteReport:
     x_sorted = x[order]
     columns = [np.ascontiguousarray(x_sorted[:, j]) for j in range(x.shape[1])]
     block_rows = min(max(_BLOCK_BYTES // (8 * n), 8), 256)
-    dist_buffer = np.empty((block_rows, n))
-    square_buffer = np.empty((block_rows, n))
     scores = np.zeros(n)  # in sorted order
     slices = list(zip(bounds, bounds[1:], counts))
-    for c, (lo, hi, m) in enumerate(slices):
-        if m == 1:
-            continue  # the singleton convention: its score stays 0
-        others = slices[:c] + slices[c + 1:]
-        for start in range(lo, hi, block_rows):  # every block lies inside cluster c
+    # every block lies inside one cluster c; a singleton cluster has none, so
+    # its score stays 0 by the singleton convention
+    blocks = [
+        (c, start)
+        for c, (lo, hi, m) in enumerate(slices) if m > 1
+        for start in range(lo, hi, block_rows)
+    ]
+
+    def score_blocks(share):
+        """Fill scores[start:stop] for every block in the share, in two buffers
+        of this thread's own."""
+        dist_buffer = np.empty((block_rows, n))
+        square_buffer = np.empty((block_rows, n))
+        for c, start in share:
+            lo, hi, m = slices[c]
             stop = min(start + block_rows, hi)
             block = x_sorted[start:stop]
             dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
@@ -78,13 +97,36 @@ def silhouette(data, assignment) -> SilhouetteReport:
             # a row sum over a cluster's slice adds the same values in the same
             # order as mean() over its gathered members, so a and b are
             # bit-identical to the definition
-            b = np.min([dist[:, o_lo:o_hi].sum(axis=1) / o_m for o_lo, o_hi, o_m in others], axis=0)
+            b = np.min([
+                dist[:, o_lo:o_hi].sum(axis=1) / o_m
+                for o, (o_lo, o_hi, o_m) in enumerate(slices) if o != c
+            ], axis=0)
             own = dist[:, lo:hi]
             not_self = np.ones(own.shape, dtype=bool)
             not_self[np.arange(stop - start), np.arange(start - lo, stop - lo)] = False
             a = own[not_self].reshape(stop - start, m - 1).sum(axis=1) / (m - 1)
             denom = np.maximum(a, b)
             np.divide(b - a, denom, out=scores[start:stop], where=denom != 0.0)
+
+    # The calling thread and one worker per further usable CPU each take every
+    # w-th block, so clusters of unequal size still balance. numpy releases the
+    # GIL inside each ufunc on a buffer, so the distance builds overlap. A block
+    # is scored from the same values in the same order whichever thread runs it,
+    # and the threads write disjoint slices of scores. Each worker runs in a copy
+    # of the caller's context, so the caller's np.errstate holds there too.
+    # imported here: concurrent.futures (with the logging it loads) adds about
+    # 9 ms to every start of the CLI, and only train and score need it
+    from concurrent.futures import ThreadPoolExecutor
+
+    w = max(min(_usable_cpus(), len(blocks)), 1)
+    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:  # joined on exit
+        workers = [
+            pool.submit(contextvars.copy_context().run, score_blocks, blocks[i::w])
+            for i in range(1, w)
+        ]
+        score_blocks(blocks[0::w])
+        for worker in workers:
+            worker.result()  # re-raises a worker's error here
 
     per_point = np.empty(n)
     per_point[order] = scores

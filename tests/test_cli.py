@@ -499,10 +499,19 @@ def test_input_without_videos_is_data_error(tmp_path, capsys, trained_dir, comma
     assert "no feature rows" in stderr
 
 
-def test_cli_import_does_not_load_scipy(cli_env):
-    code = 'import sys, gesturemix.cli; print("scipy" in sys.modules)'
+def _loaded_by_cli_import(module, env) -> bool:
+    code = f'import sys, gesturemix.cli; print({module!r} in sys.modules)'
     done = subprocess.run(
-        [sys.executable, "-c", code], env=cli_env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy(cli_env):
+    assert not _loaded_by_cli_import("scipy", cli_env)
+
+
+def test_cli_import_does_not_load_concurrent_futures(cli_env):
+    # silhouette imports it when it runs; at import it would cost every command
+    assert not _loaded_by_cli_import("concurrent.futures", cli_env)

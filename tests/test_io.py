@@ -748,7 +748,7 @@ class TestPlotExport:
         rows = rng.random((84, 3))
         groups = ["wave", "pick", "stack", "push"] * 21
         path = tmp_path / "plot.csv"
-        export_plot_data(rows, groups, path)
+        export_plot_data(rows, {path: groups})
         lines = path.read_text().splitlines()
         assert lines[0] == "var_x,var_y,var_z,group"
         assert len(lines) - 1 == 84
@@ -756,7 +756,7 @@ class TestPlotExport:
 
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "plot.csv"
-        export_plot_data([[1 / 3, -0.0, 1e-300], [2.5, 7.0, 5e-324]], ["wave", "push"], path)
+        export_plot_data([[1 / 3, -0.0, 1e-300], [2.5, 7.0, 5e-324]], {path: ["wave", "push"]})
         assert path.read_text() == (
             "var_x,var_y,var_z,group\n"
             "0.33333333333333331,-0,1e-300,wave\n"
@@ -765,12 +765,24 @@ class TestPlotExport:
 
     def test_empty_export(self, tmp_path):
         path = tmp_path / "plot.csv"
-        export_plot_data(np.zeros((0, 3)), [], path)
+        export_plot_data(np.zeros((0, 3)), {path: []})
         assert path.read_text() == "var_x,var_y,var_z,group\n"
 
     def test_length_mismatch_rejected(self, tmp_path):
-        with pytest.raises(DataError):
-            export_plot_data(np.zeros((4, 3)), ["a"], tmp_path / "p.csv")
+        # checked for every file before any is written
+        files = {tmp_path / "a.csv": ["a"] * 4, tmp_path / "b.csv": ["b"] * 3}
+        with pytest.raises(DataError, match="4 rows vs 3 group entries"):
+            export_plot_data(np.zeros((4, 3)), files)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_file_holds_the_same_rows_under_its_own_groups(self, tmp_path):
+        rows = [[1 / 3, -0.0, 1e-300], [2.5, 7.0, 5e-324]]
+        together = {tmp_path / "before.csv": ["wave", "push"], tmp_path / "after.csv": ["x", "y"]}
+        export_plot_data(rows, together)
+        for path, groups in together.items():
+            alone = tmp_path / f"alone-{path.name}"
+            export_plot_data(rows, {alone: groups})
+            assert path.read_bytes() == alone.read_bytes()
 
     def test_exports_cross_check_with_classifier(self, tmp_path, trained):
         # confusion derived from the before/after exports must equal the
@@ -781,8 +793,7 @@ class TestPlotExport:
         assignment = np.argmax(resp, axis=1)
         mapped = [model.label_map.labels[a] for a in assignment]
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"
-        export_plot_data(rows, truth_groups, before)
-        export_plot_data(rows, mapped, after)
+        export_plot_data(rows, {before: truth_groups, after: mapped})
 
         truth = [line.rsplit(",", 1)[1] for line in before.read_text().splitlines()[1:]]
         voted = [line.rsplit(",", 1)[1] for line in after.read_text().splitlines()[1:]]
@@ -810,7 +821,7 @@ WRITERS = {
         [FeatureMatrix(rows=np.full((21, 3), float(v)), source_id="v")], path
     ),
     "export_plot_data": lambda path, v: export_plot_data(
-        np.full((2, 3), float(v)), ["a", "b"], path
+        np.full((2, 3), float(v)), {path: ["a", "b"]}
     ),
     "save_model": lambda path, v: save_model(replace(SMALL_MODEL, iterations=7 + v), path),
 }

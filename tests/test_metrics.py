@@ -1,11 +1,14 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gesturemix import DataError, silhouette
+from gesturemix import DataError, metrics, silhouette
 from gesturemix.metrics import _BLOCK_BYTES
 from oracles import brute_force_silhouette, per_point_silhouette
 
@@ -131,9 +134,24 @@ def _assert_same_as_per_point_loop(data, assignment):
     assert np.array_equal(report.per_cluster_mean, per_cluster_mean)
 
 
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Make silhouette see the given number of usable CPUs."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
+
+    return set_cpus
+
+
 class TestBitIdenticalToPerPointLoop:
     """The cluster-sorted row sums add the same distances in the same order as
-    the per-point definition, so every score is equal, not merely close."""
+    the per-point definition, so every score is equal, not merely close, on
+    however many threads the blocks are split."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3], ids=lambda w: f"threads={w}")
+    def threads(self, request, cpus):
+        cpus(request.param)
 
     @pytest.mark.parametrize("n", [257, 600, 3000])
     @pytest.mark.parametrize("k", [2, 4, 7])
@@ -183,6 +201,66 @@ class TestBitIdenticalToPerPointLoop:
         report = silhouette(data, assignment)
         assert np.all(report.per_point[:300] == 0.0)
         _assert_same_as_per_point_loop(data, assignment)
+
+
+class TestThreads:
+    def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
+        cpus(2)
+        sqrt = np.sqrt
+
+        def sqrt_failing_off_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sqrt", sqrt_failing_off_the_calling_thread)
+        before = threading.active_count()
+        rng = np.random.default_rng(15)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            silhouette(rng.normal(size=(600, 3)), rng.integers(0, 3, size=600))
+        assert threading.active_count() == before
+
+    def test_workers_keep_the_callers_errstate(self, cpus):
+        # distances to the far singleton overflow; b is the nearer cluster's, so
+        # nothing else is out of range; pyproject makes any warning an error
+        cpus(2)
+        rng = np.random.default_rng(16)
+        data = np.vstack([rng.normal(size=(600, 3)), np.full((1, 3), 1e200)])
+        assignment = np.append(rng.integers(0, 2, size=600), 2)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            silhouette(data, assignment)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(silhouette(data, assignment).per_point))
+            _assert_same_as_per_point_loop(data, assignment)
+
+    def test_more_threads_than_cores_switching_often(self, cpus):
+        # a lost or misplaced block would break bit identity; every worker
+        # must have ended when silhouette returns
+        cpus(5)
+        rng = np.random.default_rng(17)
+        data, assignment = rng.normal(size=(3000, 3)), rng.integers(0, 3, size=3000)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_same_as_per_point_loop(data, assignment)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_no_more_threads_than_blocks(self, cpus, monkeypatch):
+        # two clusters of a few rows each are two blocks
+        cpus(8)
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def counted(self, *args):
+            submitted.append(args)
+            return submit(self, *args)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+        silhouette(np.arange(12.0).reshape(4, 3), np.array([0, 0, 1, 1]))
+        assert len(submitted) == 1  # one worker beside the calling thread
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
