@@ -17,7 +17,6 @@ from .gmm import (
     fit,
     initialize,
     log_likelihood,
-    m_step,
 )
 from .landmarks import (
     FeatureMatrix,
@@ -59,7 +58,6 @@ __all__ = [
     "generate_video",
     "initialize",
     "log_likelihood",
-    "m_step",
     "record_header",
     "result_record",
     "silhouette",

@@ -57,6 +57,12 @@ class ClassificationResult:
     margin: int
 
 
+def _majority(counts) -> str:
+    """The label with the most votes, ties going to the lexicographically smallest."""
+    best = max(counts.values())
+    return min(lbl for lbl, cnt in counts.items() if cnt == best)
+
+
 def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLabelMap:
     """Majority label per component over the training rows.
 
@@ -74,9 +80,7 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
         if not owned:
             raise DataError(f"component {comp} received no training rows; training degenerate")
         tally = Counter(owned)
-        # deterministic tie rule: highest count, then lexicographically smallest
-        best_count = max(tally.values())
-        best_label = min(lbl for lbl, cnt in tally.items() if cnt == best_count)
+        best_label = _majority(tally)
         labels.append(best_label)
         confidence.append(tally[best_label] / len(owned))
     return ClusterLabelMap(labels=tuple(labels), confidence=tuple(confidence))
@@ -104,8 +108,8 @@ def classify_video(
     counts = dict.fromkeys(label_map.distinct_labels, 0)
     for cluster in clusters:
         counts[labels[cluster]] += 1
-    best = max(counts.values())
-    winner = min(lbl for lbl, cnt in counts.items() if cnt == best)
+    winner = _majority(counts)
+    best = counts[winner]
     runner_up = max((cnt for lbl, cnt in counts.items() if lbl != winner), default=0)
     return ClassificationResult(
         source_id=features.source_id,

@@ -31,7 +31,9 @@ EM finds a local maximum of L that depends on its start. `fit` screens further
 starts with short runs of EM (Biernacki, Celeux & Govaert 2003, "Choosing
 starting values for the EM algorithm...", CSDA 41), but only when the first
 start has not converged within the screen, so a quick fit costs nothing extra.
-A start that fails numerically is abandoned, and the screen moves on.
+A start that fails numerically is abandoned, and the screen moves on; an
+E-step that leaves a component less than EMPTY_COMPONENT_MASS of
+responsibility is such a failure, so no M-step divides by an empty mass.
 """
 
 from dataclasses import dataclass, field, replace
@@ -121,10 +123,6 @@ class MixtureParams:
     def k(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 def _inverse_lower(chol: np.ndarray) -> np.ndarray:
     """L^-1 for a stack of lower-triangular L (K, d, d), by forward substitution
@@ -189,12 +187,15 @@ class EmTrace:
         return [start for start, ll in enumerate(self.screened) if ll == -np.inf]
 
 
-def _as_data(data) -> np.ndarray:
+def _as_data(data, k: int = 1) -> np.ndarray:
+    """Data as a checked (N, d) float array with N >= k points."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"data must be an (N, d) array, got shape {x.shape}")
     if x.shape[0] == 0:
         raise DataError("empty data")
+    if x.shape[0] < k:
+        raise DataError(f"need at least k={k} data points, got {x.shape[0]}")
     if not all_finite(x):
         raise DataError("non-finite data point")
     return x
@@ -251,20 +252,10 @@ def _e_step_with_norm(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
     return resp, log_norm
 
 
-def m_step(data, resp, reg_eps: float = 1e-6, covariance_mode: str = "full") -> MixtureParams:
-    """Closed-form parameter re-estimation from (N, K) responsibilities."""
-    x = _as_data(data)
-    r = np.asarray(resp, dtype=np.float64)
-    if r.shape[0] != x.shape[0] or r.ndim != 2:
-        raise DataError("responsibilities must be (N, K) aligned with the data")
-    r = np.ascontiguousarray(r.T)
-    return _m_step(_columns(x), r, r.sum(axis=1), reg_eps, covariance_mode)
-
-
 def _m_step(xt, r, mass, reg_eps, covariance_mode, work=_NO_WORK) -> MixtureParams:
-    """m_step on points as columns xt (d, N), responsibilities r (K, N) and their
-    row sums `mass`; `work` as in `_posteriors`."""
-    _check_mass(mass)
+    """Closed-form re-estimation from points as columns xt (d, N), responsibilities
+    r (K, N) and their row sums `mass`, each at least EMPTY_COMPONENT_MASS (as
+    `_Run._e_step` checks); `work` as in `_posteriors`."""
     d, n = xt.shape
     weights = mass / n
     weights = weights / weights.sum()
@@ -275,12 +266,6 @@ def _m_step(xt, r, mass, reg_eps, covariance_mode, work=_NO_WORK) -> MixturePara
     covs = weighted @ diff.transpose(0, 2, 1) / mass[:, None, None]
     covs = _restrict(covs, covariance_mode) + reg_eps * np.eye(d)
     return MixtureParams(means=means, covs=covs, weights=weights)
-
-
-def _check_mass(mass: np.ndarray) -> None:
-    empty = np.nonzero(mass < EMPTY_COMPONENT_MASS)[0]
-    if empty.size:
-        raise NumericalError(f"component {int(empty[0])} has no responsibility mass")
 
 
 def _restrict(covs: np.ndarray, covariance_mode: str) -> np.ndarray:
@@ -316,10 +301,8 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def initialize(data, config: EmConfig) -> MixtureParams:
     """Seeded starting parameters: k-means++ means, global covariance, uniform weights."""
-    x = _as_data(data)
+    x = _as_data(data, config.k)
     n, d = x.shape
-    if n < config.k:
-        raise DataError(f"need at least k={config.k} data points, got {n}")
     rng = np.random.default_rng(config.seed)
     if config.k == 1:
         means = x.mean(axis=0)[None, :]
@@ -344,11 +327,14 @@ class _Run:
         self.trace.log_likelihoods.append(self._e_step(params))
 
     def _e_step(self, params) -> float:
-        """Take `params` and their responsibilities; returns the log-likelihood."""
+        """Take `params` and their responsibilities; returns the log-likelihood.
+        A component left with less than EMPTY_COMPONENT_MASS fails the start."""
         self.params = params
         self.resp, log_norm = _e_step_with_norm(self.xt, params, self.work)
         self.mass = self.resp.sum(axis=1)
-        _check_mass(self.mass)
+        empty = np.nonzero(self.mass < EMPTY_COMPONENT_MASS)[0]
+        if empty.size:
+            raise NumericalError(f"component {int(empty[0])} has no responsibility mass")
         return float(log_norm.sum())
 
     def advance(self, n_iters: int) -> float:
@@ -389,7 +375,7 @@ def fit(data, config: EmConfig):
     Returns (MixtureParams, responsibility matrix, EmTrace); the responsibilities
     correspond to the returned parameters.
     """
-    x = _as_data(data)
+    x = _as_data(data, config.k)  # before anything sized by K exists
     xt = _columns(x)
     n, d = x.shape
     work = (np.empty((config.k, d, n)), np.empty((config.k, d, n)))

@@ -31,21 +31,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise DataError(f"non-numeric value {text!r} in {where}") from exc
-
-
 def _parse_floats(cells: list[str], where) -> list[float]:
-    """The cells as floats. `where()` names the line for the error and is
-    called only when a cell does not parse."""
+    """The cells as floats. The first cell that does not parse is a DataError
+    naming the line `where()`, which is called only then."""
     try:
         return list(map(float, cells))
     except ValueError:
-        place = where()
-        return [_parse_float(c, place) for c in cells]  # raises on the first bad cell
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise DataError(f"non-numeric value {cell!r} in {where()}") from exc
 
 
 def _read_lines(path: Path, error=DataError) -> list[str]:
@@ -358,6 +354,8 @@ def load_model(path) -> ModelFile:
         components.append(component)
     if next(rest, None) != "end":
         raise ModelFormatError(f"{path}: missing 'end' sentinel", field="end")
+    if next(rest, None) is not None:
+        raise ModelFormatError(f"{path}: content after the 'end' sentinel", field="end")
 
     def stacked(key) -> list:
         return [c[key] for c in components]

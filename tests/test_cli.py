@@ -268,10 +268,16 @@ class TestTrain:
         videos = generate_dataset(default_profiles(), videos_per_profile=1, frames=10, seed=1)
         csv = tmp_path / "f.csv"
         write_feature_csv([compute_variances(videos[0])], csv)
-        code, _, stderr = run(
-            capsys, "train", "--input", str(csv), "--output", str(tmp_path / "o"), "--k", "22"
-        )
-        assert code == 2
+        # at K = 10**12 the fit's (K, d, N) work arrays would exceed any address space
+        for k in ("22", "1000000000000"):
+            out = tmp_path / f"o{k}"
+            code, stdout, stderr = run(
+                capsys, "train", "--input", str(csv), "--output", str(out), "--k", k
+            )
+            assert code == 2
+            assert stdout == ""
+            assert stderr.splitlines()[-1] == f"data error: need at least k={k} data points, got 21"
+            assert not out.exists()
 
     def test_missing_input_flag_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--output", str(tmp_path / "o"))

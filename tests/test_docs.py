@@ -100,3 +100,17 @@ def test_classify_video_calls_its_traced_layers_once(monkeypatch):
         features = compute_variances(generate_video(profile, frames=30, seed=i))
         classify.classify_video(features, params, label_map, stats)
         assert calls == {"e_step": i + 1, "apply_normalization": i + 1}
+
+
+def test_benchmark_realtime_round_checks_clean(tmp_path, monkeypatch):
+    # the realtime checker reads each result's votes, counts, winner and margin;
+    # one round on the reference model must match its recomputation exactly
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    workloads, speed, tracing = (import_module(m) for m in ("workloads", "speed", "tracing"))
+    realtime = workloads.Realtime(tmp_path, seed=0)
+    realtime.prepare()
+    realtime.setup(tracing.NullTracer())
+    rnd = realtime.run_round(0, tracing.NullTracer(), speed.Sampler())
+    assert rnd.gestures == realtime.gestures_per_round
+    realtime.check(0, rnd)
+    assert rnd.problems == []

@@ -596,6 +596,20 @@ class TestModelFormat:
             load_model(path)
         assert excinfo.value.field == "config"
 
+    @pytest.mark.parametrize("tail", ["k=9\ngarbage\n", "end\n", "\n\ncomponent=2\n"])
+    def test_line_after_end_is_a_format_error(self, tmp_path, tail):
+        path = tmp_path / "m.gmm"
+        path.write_text(SMALL_MODEL_TEXT + tail)
+        with pytest.raises(ModelFormatError, match="after the 'end' sentinel") as excinfo:
+            load_model(path)
+        assert excinfo.value.field == "end"
+
+    def test_blank_lines_after_end_load(self, tmp_path):
+        path = tmp_path / "m.gmm"
+        path.write_text(SMALL_MODEL_TEXT + "\n  \n")
+        save_model(load_model(path), path)
+        assert path.read_text() == SMALL_MODEL_TEXT
+
     def test_k_disagreeing_with_the_mixture_rejected(self):
         with pytest.raises(DataError, match="k=3"):
             replace(SMALL_MODEL, config=EmConfig(k=3))
