@@ -19,6 +19,7 @@ from .errors import DataError, NumericalError
 from .gmm import COVARIANCE_MODES, EmConfig, e_step, fit
 from .io import (
     ModelFile,
+    _fan_out,
     load_model,
     read_feature_csv,
     read_video_dir,
@@ -93,11 +94,11 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for video in videos:
-        fname = f"{video.source_id}.landmarks"
-        write_video(video, out / fname)
-        entries.append((fname, video.source_id, video.label))
+    entries = [(f"{v.source_id}.landmarks", v.source_id, v.label) for v in videos]
+    # each process writes its share of the files; write_video is looked up when
+    # called, so a wrapper set on this module sees it
+    for _ in _fan_out(lambda i: write_video(videos[i], out / entries[i][0]), range(len(videos))):
+        pass  # raises the first failed write, in video order
     write_manifest(entries, out / "manifest.csv")
     print(f"videos={len(videos)}")
     print(f"output={args.output}")
@@ -125,17 +126,18 @@ def cmd_train(args) -> int:
     distinct = sorted({f.label for f in features})
     if args.k is None:
         config = replace(config, k=len(distinct))
-    elif args.k != len(distinct):
-        print(
-            f"warning: --k {args.k} differs from {len(distinct)} distinct labels; proceeding",
-            file=sys.stderr,
-        )
 
     raw_rows = np.vstack([f.rows for f in features])
     row_labels = [f.label for f in features for _ in range(LANDMARK_COUNT)]
     stats = fit_normalization(raw_rows)
     data = apply_normalization(raw_rows, stats)
     params, resp, trace = fit(data, config)
+    # only once fit has accepted K: a K it rejects is an error, not a warning
+    if config.k != len(distinct):
+        print(
+            f"warning: --k {args.k} differs from {len(distinct)} distinct labels; proceeding",
+            file=sys.stderr,
+        )
     assignment = np.argmax(resp, axis=1)
     label_map = build_label_map(assignment, row_labels, params.k)
     # An unconverged fit and, with fewer components than labels, an uncovered

@@ -9,12 +9,15 @@ object's error.
 """
 
 import os
+import pickle
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import metrics
 from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
 from .gmm import EmConfig, MixtureParams
@@ -76,6 +79,89 @@ def _checked(where, make, field: str | None = None):
         raise DataError(f"{where}: {exc}") from exc
 
 
+def _fan_out(fn, items):
+    """fn(item) for each item, in item order, as an iterator that raises an
+    item's error where the serial loop `map(fn, items)` would.
+
+    Text parsing and formatting hold the GIL, so the caller and one forked
+    child per further usable CPU each take every w-th item. Each process stops
+    its share at its first error, as no later item of that share comes first
+    in item order. Every child has been reaped when this returns. The serial
+    loop runs when one CPU is usable, without `os.fork`, and while the caller
+    runs other threads: a lock one of them held at the fork would stay held
+    in the child.
+    """
+    w = min(metrics._usable_cpus(), len(items))  # looked up here, so tests can set it
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return map(fn, items)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i in range(1, w):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _answer(fn, items[i::w], write_end, [fd for _, fd in children] + [read_end])
+            os.close(write_end)
+            children.append((pid, read_end))
+        shares = [_outcomes(fn, items[0::w])]
+        shares += [_receive(pid, read_end) for pid, read_end in children]
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)  # a child still writing then stops on a broken pipe
+            os.waitpid(pid, 0)
+    return _in_item_order(shares, len(items))
+
+
+def _outcomes(fn, share) -> list:
+    """(True, fn(item)) for the items of the share, up to a first (False, error)."""
+    outcomes = []
+    for item in share:
+        try:
+            outcomes.append((True, fn(item)))
+        except Exception as exc:
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _answer(fn, share, write_end, inherited) -> None:
+    """In a forked child: stream the share's outcomes down the pipe, then end
+    the process without running any of the caller's exit handlers."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(_outcomes(fn, share), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, read_end: int) -> list:
+    """A child's outcomes, loaded straight from its pipe. A child that ends
+    without answering fails its share at its first item."""
+    try:
+        with open(read_end, "rb", closefd=False) as pipe:
+            return pickle.load(pipe)
+    except Exception as exc:
+        return [(False, ChildProcessError(f"worker process {pid} ended without answering: {exc}"))]
+
+
+def _in_item_order(shares: list, n: int):
+    w = len(shares)
+    for i in range(n):
+        ok, value = shares[i % w][i // w]
+        if not ok:
+            raise value
+        yield value
+
+
 # Row templates: each value written as _fmt writes it, one % per row.
 _FRAME_ROW = ",".join(["%.17g"] * (LANDMARK_COUNT * COORD_DIM))
 _VARIANCE_ROW = ",".join(["%.17g"] * COORD_DIM)
@@ -94,8 +180,8 @@ def write_video(video: GestureVideo, path) -> None:
     _write_lines(path, lines)
 
 
-def read_video(path) -> GestureVideo:
-    path = Path(path)
+def _parse_video(path: Path) -> tuple[str, str | None, np.ndarray]:
+    """A video file's source_id, label and (F, 21, 3) frames, its layout checked."""
     lines = _read_lines(path)
     if not lines or lines[0] != VIDEO_MAGIC:
         raise DataError(f"{path}: missing '{VIDEO_MAGIC}' header")
@@ -117,18 +203,28 @@ def read_video(path) -> GestureVideo:
                 f"{path}:{lineno}: expected {LANDMARK_COUNT * COORD_DIM} values, got {len(cells)}"
             )
         values += _parse_floats(cells, lambda: f"{path}:{lineno}")
-    frames = np.array(values).reshape(-1, LANDMARK_COUNT, COORD_DIM)
+    return source_id, label, np.array(values).reshape(-1, LANDMARK_COUNT, COORD_DIM)
+
+
+def _video(path: Path, parsed) -> GestureVideo:
+    source_id, label, frames = parsed
     # GestureVideo looked up when called, so a wrapper set on this module sees it
     return _checked(path, lambda: GestureVideo(frames=frames, source_id=source_id, label=label))
 
 
+def read_video(path) -> GestureVideo:
+    path = Path(path)
+    return _video(path, _parse_video(path))
+
+
 def read_video_dir(path) -> list[GestureVideo]:
-    """All *.landmarks files under a directory, in sorted filename order."""
+    """All *.landmarks files under a directory, in sorted filename order. The
+    files are parsed on every usable CPU; the videos are built here."""
     path = Path(path)
     files = sorted(path.glob("*.landmarks"))
     if not files:
         raise DataError(f"no *.landmarks files in {path}")
-    return [read_video(f) for f in files]
+    return [_video(f, parsed) for f, parsed in zip(files, _fan_out(_parse_video, files))]
 
 
 def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:

@@ -7,6 +7,7 @@ from importlib import import_module
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gesturemix import (
     ClusterLabelMap,
@@ -22,6 +23,7 @@ from gesturemix import (
     generate_dataset,
     generate_video,
     gmm,
+    metrics,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,3 +116,30 @@ def test_benchmark_realtime_round_checks_clean(tmp_path, monkeypatch):
     assert rnd.gestures == realtime.gestures_per_round
     realtime.check(0, rnd)
     assert rnd.problems == []
+
+
+def test_benchmark_traced_reference_round_checks_clean(tmp_path, monkeypatch):
+    # a traced round rebinds GestureVideo in gesturemix.io to a wrapper, so the
+    # processes that parse landmark files must hand back plain values, and the
+    # spans of the round must still telescope to its timed wall time
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run.py sets it on import
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)  # fork on any machine
+    run, workloads, speed, tracing = (
+        import_module(m) for m in ("run", "workloads", "speed", "tracing")
+    )
+    reference = workloads.Reference(tmp_path, seed=0)
+    reference.prepare()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rnd = reference.run_round(0, tracer, speed.Sampler())
+    finally:
+        tracer.uninstall()
+    assert [(op.name, op.stderr) for op in rnd.ops if op.rc != 0] == []
+    layers = run.round_layers(tracer.spans, 0, rnd)["layers"]  # reads the files check removes
+    reference.check(0, rnd)
+    assert rnd.problems == []
+    assert rnd.failed == 0
+    assert layers["trace.self_sum_s"] == pytest.approx(rnd.wall, rel=1e-9)
+    assert layers["io.read_video_dir_s"] > 0

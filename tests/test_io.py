@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from gesturemix import (
     generate_video,
     result_record,
 )
+from gesturemix import cli, metrics
+from gesturemix import io as gio
 from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.landmarks import _NAME_BREAKERS
 from gesturemix.io import (
@@ -866,3 +870,133 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
         WRITERS[writer](path, 1)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# Landmark files shared out between processes
+
+
+@pytest.fixture(params=[1, 2, 3])
+def processes(request, monkeypatch):
+    """The number of processes landmark files are shared between."""
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The list of child pids forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture()
+def corpus(tmp_path):
+    """Eight small video files, in sorted (read) order."""
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    for video in generate_dataset(default_profiles(), videos_per_profile=2, frames=12, seed=4):
+        write_video(video, directory / f"{video.source_id}.landmarks")
+    return sorted(directory.iterdir())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def read_error(read, *args) -> str:
+    with pytest.raises(DataError) as info:
+        read(*args)
+    return str(info.value)
+
+
+class TestFanOut:
+    def test_read_video_dir_is_the_serial_read(self, corpus, processes, forks):
+        serial = [read_video(path) for path in corpus]
+        videos = read_video_dir(corpus[0].parent)
+        assert len(forks) == processes - 1
+        assert [(v.source_id, v.label) for v in videos] == [(v.source_id, v.label) for v in serial]
+        for video, expected in zip(videos, serial):
+            assert video.frames.dtype == expected.frames.dtype
+            assert video.frames.tobytes() == expected.frames.tobytes()
+        assert_no_child_left()
+
+    def test_synth_writes_the_serial_bytes(self, tmp_path, capsys, monkeypatch, processes, forks):
+        def synth(out, count):
+            monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
+            argv = ["synth", "--output", str(out), "--seed", "0", "--videos-per-profile", "3"]
+            assert cli.main([*argv, "--frames", "20"]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        serial = synth(tmp_path / "serial", 1)
+        shared = synth(tmp_path / "shared", processes)
+        assert len(forks) == processes - 1
+        assert len(shared) == 13  # 12 videos and the manifest
+        assert shared == serial
+        assert_no_child_left()
+
+    def test_first_error_in_file_order_is_raised(self, corpus, processes, forks):
+        # file 1 is in the first child's share, file 6 in the caller's share
+        for index in (1, 6):
+            corpus[index].write_text(corpus[index].read_text().replace(",", ";", 1))
+        expected = read_error(read_video, corpus[1])
+        assert expected.startswith(f"{corpus[1]}:4: expected 63 values, got 62")
+        assert read_error(read_video_dir, corpus[0].parent) == expected
+        assert len(forks) == processes - 1
+        assert_no_child_left()
+
+    def test_a_bad_video_before_a_bad_layout_is_reported_first(self, corpus, processes):
+        # file 0 parses but holds one frame; file 1, parsed elsewhere, does not parse
+        lines = corpus[0].read_text().splitlines()
+        corpus[0].write_text("\n".join(lines[:4]) + "\n")
+        corpus[1].write_text("not a landmarks file\n")
+        assert read_error(read_video_dir, corpus[0].parent) == (
+            f"{corpus[0]}: a gesture video needs at least 2 frames"
+        )
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", [2, 3], indirect=True)
+    def test_a_child_that_dies_is_a_data_error(self, tmp_path, capsys, corpus, monkeypatch, processes):
+        caller, parse = os.getpid(), gio._parse_video
+
+        def dies_on_file_1(path):
+            if path == corpus[1] and os.getpid() != caller:
+                os._exit(1)
+            return parse(path)
+
+        monkeypatch.setattr(gio, "_parse_video", dies_on_file_1)
+        argv = ["train", "--input", str(corpus[0].parent), "--output", str(tmp_path / "model")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("data error: worker process ")
+        assert line.endswith("ended without answering: Ran out of input")
+        assert_no_child_left()
+
+    def test_serial_without_fork(self, corpus, monkeypatch):
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        assert len(read_video_dir(corpus[0].parent)) == len(corpus)
+
+    def test_serial_while_another_thread_runs(self, corpus, monkeypatch, forks):
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert len(read_video_dir(corpus[0].parent)) == len(corpus)
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
