@@ -19,7 +19,6 @@ from .errors import DataError, NumericalError
 from .gmm import COVARIANCE_MODES, EmConfig, e_step, fit
 from .io import (
     ModelFile,
-    _fan_out,
     load_model,
     read_feature_csv,
     read_video_dir,
@@ -30,6 +29,7 @@ from .io import (
 )
 from .landmarks import LANDMARK_COUNT, apply_normalization, compute_variances, fit_normalization
 from .metrics import silhouette
+from .parallel import fan_out
 from .synth import default_profiles, generate_dataset
 
 # Robot integration stub: the action string announced for each recognized
@@ -97,7 +97,7 @@ def cmd_synth(args) -> int:
     entries = [(f"{v.source_id}.landmarks", v.source_id, v.label) for v in videos]
     # each process writes its share of the files; write_video is looked up when
     # called, so a wrapper set on this module sees it
-    for _ in _fan_out(lambda i: write_video(videos[i], out / entries[i][0]), range(len(videos))):
+    for _ in fan_out(lambda i: write_video(videos[i], out / entries[i][0]), range(len(videos))):
         pass  # raises the first failed write, in video order
     write_manifest(entries, out / "manifest.csv")
     print(f"videos={len(videos)}")
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:  # MemoryError: input too large to hold
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

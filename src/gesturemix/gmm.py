@@ -215,7 +215,7 @@ def _posteriors(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
     (d, N), and the log normalizers log sum_k pi_k N(x_n | mu_k, Sigma_k), (N,).
 
     `work` is a pair of (K, d, N) arrays that receive the temporaries, or Nones
-    to allocate them."""
+    to allocate them. A point whose density vanishes is a NumericalError."""
     diff, z = work
     diff = np.subtract(xt, params.means[:, :, None], out=diff)
     z = np.matmul(params.prec_chol, diff, out=z)  # P_k (x_n - mu_k), (K, d, N)
@@ -229,7 +229,10 @@ def _posteriors(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
     resp = np.exp(log_joint, out=log_joint)
     total = np.add.reduce(resp, axis=0)
     resp *= 1.0 / total
-    return resp, log_max + np.log(total)
+    log_norm = log_max + np.log(total)
+    if not all_finite(log_norm):
+        raise NumericalError("mixture density vanished for some data point")
+    return resp, log_norm
 
 
 def log_likelihood(data, params: MixtureParams) -> float:
@@ -240,16 +243,8 @@ def log_likelihood(data, params: MixtureParams) -> float:
 
 def e_step(data, params: MixtureParams) -> np.ndarray:
     """Responsibility matrix r_nk, shape (N, K); each row sums to 1."""
-    resp, _ = _e_step_with_norm(_columns(_as_data(data)), params)
+    resp, _ = _posteriors(_columns(_as_data(data)), params)
     return resp.T
-
-
-def _e_step_with_norm(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
-    """Responsibilities as (K, N) and the per-point log normalizers."""
-    resp, log_norm = _posteriors(xt, params, work)
-    if not all_finite(log_norm):
-        raise NumericalError("mixture density vanished for some data point")
-    return resp, log_norm
 
 
 def _m_step(xt, r, mass, reg_eps, covariance_mode, work=_NO_WORK) -> MixtureParams:
@@ -330,7 +325,7 @@ class _Run:
         """Take `params` and their responsibilities; returns the log-likelihood.
         A component left with less than EMPTY_COMPONENT_MASS fails the start."""
         self.params = params
-        self.resp, log_norm = _e_step_with_norm(self.xt, params, self.work)
+        self.resp, log_norm = _posteriors(self.xt, params, self.work)
         self.mass = self.resp.sum(axis=1)
         empty = np.nonzero(self.mass < EMPTY_COMPONENT_MASS)[0]
         if empty.size:

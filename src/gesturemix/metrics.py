@@ -7,27 +7,19 @@ clusters (and points where a = b = 0) score 0. The overall score is the mean
 of the per-point values.
 """
 
-import contextvars
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .parallel import fan_out
 
 # Bytes of each of the two (B, N) buffers, the distance block and its scratch:
 # B = this // (8 N) rows, within [8, 256]. Sized by bytes rather than rows, so
-# the pair stays near cache size as N grows. Every thread has its own pair, so
-# memory is about 2 MiB per thread: it grows with N, not N squared.
+# the pair stays near cache size as N grows. Each process writes its own
+# copy-on-write pair, so memory is about 2 MiB per process: it grows with N,
+# not N squared.
 _BLOCK_BYTES = 2**20
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -77,56 +69,43 @@ def silhouette(data, assignment) -> SilhouetteReport:
         for start in range(lo, hi, block_rows)
     ]
 
-    def score_blocks(share):
-        """Fill scores[start:stop] for every block in the share, in two buffers
-        of this thread's own."""
-        dist_buffer = np.empty((block_rows, n))
-        square_buffer = np.empty((block_rows, n))
-        for c, start in share:
-            lo, hi, m = slices[c]
-            stop = min(start + block_rows, hi)
-            block = x_sorted[start:stop]
-            dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
-            # squared coordinate differences added x, then y, then z: the order a
-            # sum over the last axis of a (B, N, 3) difference tensor adds them in
-            np.square(np.subtract.outer(block[:, 0], columns[0], out=dist), out=dist)
-            for j in range(1, len(columns)):
-                np.subtract.outer(block[:, j], columns[j], out=square)
-                dist += np.square(square, out=square)
-            np.sqrt(dist, out=dist)
-            # a row sum over a cluster's slice adds the same values in the same
-            # order as mean() over its gathered members, so a and b are
-            # bit-identical to the definition
-            b = np.min([
-                dist[:, o_lo:o_hi].sum(axis=1) / o_m
-                for o, (o_lo, o_hi, o_m) in enumerate(slices) if o != c
-            ], axis=0)
-            own = dist[:, lo:hi]
-            not_self = np.ones(own.shape, dtype=bool)
-            not_self[np.arange(stop - start), np.arange(start - lo, stop - lo)] = False
-            a = own[not_self].reshape(stop - start, m - 1).sum(axis=1) / (m - 1)
-            denom = np.maximum(a, b)
-            np.divide(b - a, denom, out=scores[start:stop], where=denom != 0.0)
+    # allocated before fan_out forks, so every process writes its own pair
+    dist_buffer = np.empty((block_rows, n))
+    square_buffer = np.empty((block_rows, n))
 
-    # The calling thread and one worker per further usable CPU each take every
-    # w-th block, so clusters of unequal size still balance. numpy releases the
-    # GIL inside each ufunc on a buffer, so the distance builds overlap. A block
-    # is scored from the same values in the same order whichever thread runs it,
-    # and the threads write disjoint slices of scores. Each worker runs in a copy
-    # of the caller's context, so the caller's np.errstate holds there too.
-    # imported here: concurrent.futures (with the logging it loads) adds about
-    # 9 ms to every start of the CLI, and only train and score need it
-    from concurrent.futures import ThreadPoolExecutor
+    def score_block(task):
+        """The scores of block (c, start): sorted rows start up to its end."""
+        c, start = task
+        lo, hi, m = slices[c]
+        stop = min(start + block_rows, hi)
+        block = x_sorted[start:stop]
+        dist, square = dist_buffer[:stop - start], square_buffer[:stop - start]
+        # squared coordinate differences added x, then y, then z: the order a
+        # sum over the last axis of a (B, N, 3) difference tensor adds them in
+        np.square(np.subtract.outer(block[:, 0], columns[0], out=dist), out=dist)
+        for j in range(1, len(columns)):
+            np.subtract.outer(block[:, j], columns[j], out=square)
+            dist += np.square(square, out=square)
+        np.sqrt(dist, out=dist)
+        # a row sum over a cluster's slice adds the same values in the same
+        # order as mean() over its gathered members, so a and b are
+        # bit-identical to the definition
+        b = np.min([
+            dist[:, o_lo:o_hi].sum(axis=1) / o_m
+            for o, (o_lo, o_hi, o_m) in enumerate(slices) if o != c
+        ], axis=0)
+        own = dist[:, lo:hi]
+        not_self = np.ones(own.shape, dtype=bool)
+        not_self[np.arange(stop - start), np.arange(start - lo, stop - lo)] = False
+        a = own[not_self].reshape(stop - start, m - 1).sum(axis=1) / (m - 1)
+        denom = np.maximum(a, b)
+        return np.divide(b - a, denom, out=np.zeros(stop - start), where=denom != 0.0)
 
-    w = max(min(_usable_cpus(), len(blocks)), 1)
-    with ThreadPoolExecutor(max_workers=max(w - 1, 1)) as pool:  # joined on exit
-        workers = [
-            pool.submit(contextvars.copy_context().run, score_blocks, blocks[i::w])
-            for i in range(1, w)
-        ]
-        score_blocks(blocks[0::w])
-        for worker in workers:
-            worker.result()  # re-raises a worker's error here
+    # Each process takes every w-th block, so clusters of unequal size still
+    # balance; a block is scored from the same values in the same order in
+    # whichever process runs it.
+    for (_, start), block_scores in zip(blocks, fan_out(score_block, blocks)):
+        scores[start:start + block_scores.size] = block_scores
 
     per_point = np.empty(n)
     per_point[order] = scores

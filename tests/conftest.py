@@ -13,6 +13,7 @@ from gesturemix import (
     classify,
     classify_video,
 )
+from gesturemix import parallel
 
 
 @pytest.fixture()
@@ -48,3 +49,41 @@ def votes_on_posteriors(monkeypatch):
         return classify_video(feat, params, label_map, stats).votes
 
     return votes
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Make the fan-out see the given number of usable CPUs."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+
+    return set_cpus
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"processes={w}")
+def processes(request, cpus):
+    """The number of processes the fan-out shares items between."""
+    cpus(request.param)
+    return request.param
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The list of child pids forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

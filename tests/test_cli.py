@@ -93,6 +93,18 @@ class TestSynth:
         assert "frames" in stderr
         assert not out.exists()
 
+    def test_impossible_allocation_is_data_error(self, tmp_path, capsys):
+        # numpy refuses a 7 TiB array before touching memory
+        out = tmp_path / "never"
+        code, stdout, stderr = run(
+            capsys, "synth", "--output", str(out), "--frames", "1000000000000"
+        )
+        assert code == 2
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        assert line.startswith("data error: Unable to allocate")
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error_before_anything_is_written(self, tmp_path, capsys):
         out = tmp_path / "never"
         code, stdout, stderr = run(capsys, "synth", "--output", str(out), "--seed", "-1")
@@ -506,22 +518,32 @@ def test_input_without_videos_is_data_error(tmp_path, capsys, trained_dir, comma
     assert "no feature rows" in stderr
 
 
-def _loaded_by_cli_import(module, env) -> bool:
-    code = f'import sys, gesturemix.cli; print({module!r} in sys.modules)'
+def _loaded_by_cli_import(module, env, *argvs) -> bool:
+    """Whether `module` is loaded once gesturemix.cli is imported and has run
+    each of the argument lists, all of which must succeed."""
+    code = (
+        f"import sys, gesturemix.cli\n"
+        f"assert all(gesturemix.cli.main(argv) == 0 for argv in {list(argvs)!r})\n"
+        f"print({module!r} in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip() == "True"
+    return done.stdout.splitlines()[-1] == "True"
 
 
 def test_cli_import_does_not_load_scipy(cli_env):
     assert not _loaded_by_cli_import("scipy", cli_env)
 
 
-def test_cli_import_does_not_load_concurrent_futures(cli_env):
-    # silhouette imports it when it runs; at import it would cost every command
+def test_cli_import_does_not_load_concurrent_futures(tmp_path, cli_env):
+    # landmark files and silhouette blocks are shared out by os.fork and
+    # pickle, which the import loads anyway; no command needs a thread pool,
+    # and multiprocessing would add its own start-up cost
     assert not _loaded_by_cli_import("concurrent.futures", cli_env)
-    # landmark files are shared out by os.fork and pickle, which the import
-    # loads anyway; multiprocessing would add its own start-up cost
     assert not _loaded_by_cli_import("multiprocessing", cli_env)
+    data = str(tmp_path / "data")
+    synth = ["synth", "--output", data, "--videos-per-profile", "3", "--frames", "40"]
+    train = ["train", "--input", data, "--output", str(tmp_path / "model")]
+    assert not _loaded_by_cli_import("concurrent.futures", cli_env, synth, train)

@@ -23,7 +23,7 @@ from gesturemix import (
     generate_dataset,
     generate_video,
     gmm,
-    metrics,
+    parallel,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,7 +124,7 @@ def test_benchmark_traced_reference_round_checks_clean(tmp_path, monkeypatch):
     # spans of the round must still telescope to its timed wall time
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # run.py sets it on import
-    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)  # fork on any machine
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)  # fork on any machine
     run, workloads, speed, tracing = (
         import_module(m) for m in ("run", "workloads", "speed", "tracing")
     )

@@ -635,8 +635,9 @@ class TestValidation:
         far = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])  # squared distance overflows
         vanished = r"^mixture density vanished for some data point$"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match=vanished):
-                e_step(far, params)
+            for call in (e_step, log_likelihood):
+                with pytest.raises(NumericalError, match=vanished):
+                    call(far, params)
 
     def test_error_names_the_failing_component(self):
         covs = [np.eye(3), np.eye(3), np.diag([1.0, -1.0, 1.0])]

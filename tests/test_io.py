@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import assert_no_child_left
 from gesturemix import (
     ClusterLabelMap,
     DataError,
@@ -29,7 +30,7 @@ from gesturemix import (
     generate_video,
     result_record,
 )
-from gesturemix import cli, metrics
+from gesturemix import cli
 from gesturemix import io as gio
 from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.landmarks import _NAME_BREAKERS
@@ -876,29 +877,6 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
 # Landmark files shared out between processes
 
 
-@pytest.fixture(params=[1, 2, 3])
-def processes(request, monkeypatch):
-    """The number of processes landmark files are shared between."""
-    monkeypatch.setattr(metrics, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """The list of child pids forked while the test runs."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 @pytest.fixture()
 def corpus(tmp_path):
     """Eight small video files, in sorted (read) order."""
@@ -907,11 +885,6 @@ def corpus(tmp_path):
     for video in generate_dataset(default_profiles(), videos_per_profile=2, frames=12, seed=4):
         write_video(video, directory / f"{video.source_id}.landmarks")
     return sorted(directory.iterdir())
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def read_error(read, *args) -> str:
@@ -931,17 +904,29 @@ class TestFanOut:
             assert video.frames.tobytes() == expected.frames.tobytes()
         assert_no_child_left()
 
-    def test_synth_writes_the_serial_bytes(self, tmp_path, capsys, monkeypatch, processes, forks):
-        def synth(out, count):
-            monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
-            argv = ["synth", "--output", str(out), "--seed", "0", "--videos-per-profile", "3"]
-            assert cli.main([*argv, "--frames", "20"]) == 0
-            return {p.name: p.read_bytes() for p in out.iterdir()}
+    def test_synth_train_and_score_write_the_serial_bytes(
+        self, tmp_path, capsys, cpus, processes, forks
+    ):
+        # synth writes videos, train and score read them and share out their
+        # silhouette blocks: five fan-outs, each forking processes - 1 children
+        def pipeline(out, count):
+            cpus(count)
+            data, model = out / "data", out / "model"
+            argv = ["synth", "--output", str(data), "--seed", "0", "--videos-per-profile", "3"]
+            assert cli.main([*argv, "--frames", "40"]) == 0
+            capsys.readouterr()
+            assert cli.main(["train", "--input", str(data), "--output", str(model)]) == 0
+            train = capsys.readouterr().out
+            assert cli.main(["score", "--model", str(model / "model.gmm"), "--input", str(data)]) == 0
+            score = capsys.readouterr().out
+            files = {p.name: p.read_bytes() for d in (data, model) for p in d.iterdir()}
+            return files, train, score
 
-        serial = synth(tmp_path / "serial", 1)
-        shared = synth(tmp_path / "shared", processes)
-        assert len(forks) == processes - 1
-        assert len(shared) == 13  # 12 videos and the manifest
+        serial = pipeline(tmp_path / "serial", 1)
+        shared = pipeline(tmp_path / "shared", processes)
+        assert len(forks) == 5 * (processes - 1)
+        # 12 videos, the manifest, the model and the two plot exports
+        assert len(shared[0]) == 16
         assert shared == serial
         assert_no_child_left()
 
@@ -984,13 +969,13 @@ class TestFanOut:
         assert line.endswith("ended without answering: Ran out of input")
         assert_no_child_left()
 
-    def test_serial_without_fork(self, corpus, monkeypatch):
-        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
+    def test_serial_without_fork(self, corpus, monkeypatch, cpus):
+        cpus(3)
         monkeypatch.delattr(os, "fork")
         assert len(read_video_dir(corpus[0].parent)) == len(corpus)
 
-    def test_serial_while_another_thread_runs(self, corpus, monkeypatch, forks):
-        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 3)
+    def test_serial_while_another_thread_runs(self, corpus, cpus, forks):
+        cpus(3)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()

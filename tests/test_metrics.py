@@ -1,14 +1,13 @@
-import sys
-import threading
+import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gesturemix import DataError, metrics, silhouette
+from conftest import assert_no_child_left
+from gesturemix import DataError, silhouette
 from gesturemix.metrics import _BLOCK_BYTES
 from oracles import brute_force_silhouette, per_point_silhouette
 
@@ -134,24 +133,11 @@ def _assert_same_as_per_point_loop(data, assignment):
     assert np.array_equal(report.per_cluster_mean, per_cluster_mean)
 
 
-@pytest.fixture()
-def cpus(monkeypatch):
-    """Make silhouette see the given number of usable CPUs."""
-
-    def set_cpus(count):
-        monkeypatch.setattr(metrics, "_usable_cpus", lambda: count)
-
-    return set_cpus
-
-
+@pytest.mark.usefixtures("processes")
 class TestBitIdenticalToPerPointLoop:
     """The cluster-sorted row sums add the same distances in the same order as
     the per-point definition, so every score is equal, not merely close, on
-    however many threads the blocks are split."""
-
-    @pytest.fixture(autouse=True, params=[1, 2, 3], ids=lambda w: f"threads={w}")
-    def threads(self, request, cpus):
-        cpus(request.param)
+    however many processes the blocks are split."""
 
     @pytest.mark.parametrize("n", [257, 600, 3000])
     @pytest.mark.parametrize("k", [2, 4, 7])
@@ -203,22 +189,21 @@ class TestBitIdenticalToPerPointLoop:
         _assert_same_as_per_point_loop(data, assignment)
 
 
-class TestThreads:
-    def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
+class TestProcesses:
+    def test_child_error_reaches_the_caller(self, cpus, monkeypatch):
         cpus(2)
-        sqrt = np.sqrt
+        caller, sqrt = os.getpid(), np.sqrt
 
-        def sqrt_failing_off_the_calling_thread(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("worker failed")
+        def sqrt_failing_in_a_child(*args, **kwargs):
+            if os.getpid() != caller:
+                raise RuntimeError("child failed")
             return sqrt(*args, **kwargs)
 
-        monkeypatch.setattr(np, "sqrt", sqrt_failing_off_the_calling_thread)
-        before = threading.active_count()
+        monkeypatch.setattr(np, "sqrt", sqrt_failing_in_a_child)
         rng = np.random.default_rng(15)
-        with pytest.raises(RuntimeError, match="worker failed"):
+        with pytest.raises(RuntimeError, match="child failed"):
             silhouette(rng.normal(size=(600, 3)), rng.integers(0, 3, size=600))
-        assert threading.active_count() == before
+        assert_no_child_left()
 
     def test_workers_keep_the_callers_errstate(self, cpus):
         # distances to the far singleton overflow; b is the nearer cluster's, so
@@ -233,34 +218,21 @@ class TestThreads:
             assert np.all(np.isfinite(silhouette(data, assignment).per_point))
             _assert_same_as_per_point_loop(data, assignment)
 
-    def test_more_threads_than_cores_switching_often(self, cpus):
-        # a lost or misplaced block would break bit identity; every worker
-        # must have ended when silhouette returns
+    def test_more_processes_than_cores(self, cpus, forks):
+        # a lost or misplaced block would break bit identity; every child must
+        # have been reaped when silhouette returns
         cpus(5)
         rng = np.random.default_rng(17)
-        data, assignment = rng.normal(size=(3000, 3)), rng.integers(0, 3, size=3000)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _assert_same_as_per_point_loop(data, assignment)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
+        _assert_same_as_per_point_loop(rng.normal(size=(3000, 3)), rng.integers(0, 3, size=3000))
+        assert len(forks) == 4
+        assert_no_child_left()
 
-    def test_no_more_threads_than_blocks(self, cpus, monkeypatch):
+    def test_no_more_processes_than_blocks(self, cpus, forks):
         # two clusters of a few rows each are two blocks
         cpus(8)
-        submitted = []
-        submit = ThreadPoolExecutor.submit
-
-        def counted(self, *args):
-            submitted.append(args)
-            return submit(self, *args)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
         silhouette(np.arange(12.0).reshape(4, 3), np.array([0, 0, 1, 1]))
-        assert len(submitted) == 1  # one worker beside the calling thread
+        assert len(forks) == 1  # one child beside the caller
+        assert_no_child_left()
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
