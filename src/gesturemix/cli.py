@@ -201,9 +201,13 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     start = time.perf_counter()
     features, total_frames = _ingest_features(Path(args.input))
-    results = [
-        classify_video(f, model.params, model.label_map, model.stats) for f in features
-    ]
+    # a density that vanishes for some row is reported by the E-step as a
+    # numerical failure, so numpy's overflow and invalid-value warnings would
+    # only repeat it; set here, not in the E-step the closed loop calls per gesture
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [
+            classify_video(f, model.params, model.label_map, model.stats) for f in features
+        ]
     elapsed = time.perf_counter() - start
 
     print(record_header(model.label_map))
@@ -226,7 +230,8 @@ def cmd_score(args) -> int:
     model = load_model(args.model)
     features, _ = _ingest_features(Path(args.input))
     data = apply_normalization(np.vstack([f.rows for f in features]), model.stats)
-    assignment = np.argmax(e_step(data, model.params), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in cmd_classify
+        assignment = np.argmax(e_step(data, model.params), axis=1)
     report = silhouette(data, assignment)
     print(report.to_text())
     return 0

@@ -6,6 +6,12 @@ significant digits so every round trip is bit-exact. A reader checks only the
 layout of its file; every range, shape and name rule is checked by the object
 it builds, and `_checked` adds the file and line (or model field) to that
 object's error.
+
+A landmark body is parsed by numpy's C text reader, which makes the same
+correctly rounded conversion float() makes. Only when numpy refuses a body (or
+it holds U+001F, which numpy strips around a value and float() refuses) does
+the line loop run: it names the bad line, or accepts what float() accepts and
+numpy refuses, such as 1_0.
 """
 
 import os
@@ -77,7 +83,7 @@ def _checked(where, make, field: str | None = None):
         raise DataError(f"{where}: {exc}") from exc
 
 
-# Row templates: each value written as _fmt writes it, one % per row.
+# Row templates: each value written as _fmt writes it.
 _FRAME_ROW = ",".join(["%.17g"] * (LANDMARK_COUNT * COORD_DIM))
 _VARIANCE_ROW = ",".join(["%.17g"] * COORD_DIM)
 
@@ -90,8 +96,9 @@ def write_video(video: GestureVideo, path) -> None:
     lines = [VIDEO_MAGIC, f"source_id={video.source_id}"]
     if video.label is not None:
         lines.append(f"label={video.label}")
-    frames = video.frames.reshape(video.frame_count, -1).tolist()
-    lines += [_FRAME_ROW % tuple(frame) for frame in frames]
+    # the whole body from one template: one % for the file rather than one a frame
+    body = "\n".join([_FRAME_ROW] * video.frame_count)
+    lines.append(body % tuple(video.frames.ravel().tolist()))
     _write_lines(path, lines)
 
 
@@ -108,6 +115,20 @@ def _parse_video(path: Path) -> tuple[str, str | None, np.ndarray]:
     if len(lines) > 2 and lines[2].startswith("label="):
         label = lines[2][len("label="):]
         body = 3
+    rows = [line for line in lines[body:] if line.strip()]
+    # numpy's C reader makes the conversion float() makes, without a Python
+    # object per cell. No comment character, as float() refuses 0.5#x; no
+    # empty body, on which numpy warns; and no U+001F, which numpy strips
+    # around a value and float() refuses.
+    if rows and not any("\x1f" in row for row in rows):
+        try:
+            frames = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            frames = None
+        if frames is not None and frames.shape[1] == LANDMARK_COUNT * COORD_DIM:
+            return source_id, label, frames.reshape(-1, LANDMARK_COUNT, COORD_DIM)
+    # the line loop names the first bad line, and takes what float() takes
+    # and numpy refuses, such as 1_0
     values: list[float] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
         if not line.strip():

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gesturemix import (
     generate_dataset,
 )
 from gesturemix.gmm import COVARIANCE_MODES
-from gesturemix.io import load_model, write_feature_csv, write_video
+from gesturemix.io import load_model, read_video, write_feature_csv, write_video
 
 
 def run(capsys, *argv):
@@ -487,6 +488,25 @@ class TestScore:
         )
         assert code == 2
         assert "2 distinct clusters" in stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "score"])
+def test_vanished_density_is_numerical_failure_without_numpy_warning(
+    tmp_path, cli_env, trained_dir, command
+):
+    # coordinates scaled by 1e140 square to overflow in the E-step
+    data, out = trained_dir
+    path = sorted(data.glob("*.landmarks"))[0]
+    video = read_video(path)
+    write_video(replace(video, frames=video.frames * 1e140), path)
+    done = subprocess.run(
+        [sys.executable, "-m", "gesturemix.cli", command, "--model", str(out / "model.gmm"),
+         "--input", str(data)],
+        env=cli_env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "numerical failure: mixture density vanished for some data point\n"
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import os
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -768,6 +769,133 @@ class TestReaderContract:
         assert [(f.source_id, f.label) for f in back] == [(f.source_id, f.label) for f in features]
         write_feature_csv(back, path)
         assert path.read_bytes() == first
+
+
+# One frame of a landmark file body.
+FRAME_ROW = ",".join(["0.5"] * 63)
+
+
+def body_with(cell: str, last: bool = False) -> list[str]:
+    """Two frames, the second starting with `cell`, or ending with it."""
+    rest = ",".join(["0.5"] * 62)
+    return [FRAME_ROW, f"{rest},{cell}" if last else f"{cell},{rest}"]
+
+
+def write_body(directory, rows: list[str]) -> Path:
+    """A landmark file with a label line, so its body starts on line 4."""
+    path = directory / "body.landmarks"
+    path.write_text("gesture-landmarks v1\nsource_id=v\nlabel=wave\n" + "".join(
+        f"{row}\n" for row in rows
+    ))
+    return path
+
+
+def parse_outcome(path):
+    """What _parse_video makes of a file: its parts with the frames' exact
+    bytes, or the text of its DataError."""
+    try:
+        source_id, label, frames = gio._parse_video(path)
+    except DataError as exc:
+        return str(exc)
+    return source_id, label, frames.dtype, frames.shape, frames.tobytes()
+
+
+def line_loop_outcome(path):
+    """parse_outcome with numpy's reader refusing every body, so _parse_video
+    parses it line by line."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+        return parse_outcome(path)
+
+
+# Cells the two parsers might disagree on: what float() takes and numpy
+# refuses, what numpy strips and float() refuses, comments, quotes, NULs and
+# non-finite values.
+TRICKY_CELLS = (
+    "1_0", "\u0661.5", "\xa00.5\xa0", "\x1f0.5", "0.5\x1f", "0.5#x", "0x1p3", "", '"0.5"',
+    "0.5\x00", "inf", "-Infinity", "+NaN", "1e999", " ", "\t1e-3 ", "nan(1)", "1e", "-0",
+)
+
+
+@st.composite
+def video_bodies(draw):
+    """Up to three frame lines, most of 63 cells, a few of their cells replaced
+    by a drawn float, a tricky cell or arbitrary text, with blank or
+    whitespace-only lines between them."""
+    cells = st.one_of(
+        coordinates.map(repr),
+        st.sampled_from(TRICKY_CELLS),
+        st.text(st.characters(codec="utf-8"), max_size=4),
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        count = draw(st.sampled_from((63,) * 12 + (62, 64)))
+        row = [repr(i / 7) for i in range(count)]
+        for _ in range(draw(st.sampled_from((0, 1, 1, 2, 3)))):
+            at = draw(st.sampled_from((0, count - 1)) | st.integers(0, count - 1))
+            row[at] = draw(cells)
+        rows.append(",".join(row))
+        rows += draw(st.lists(st.sampled_from(("", " ", "\t", "\xa0")), max_size=1))
+    return rows
+
+
+class TestFastReadIsTheLineLoop:
+    """numpy's reader parses a landmark body exactly as the line loop would:
+    the same frames, bit for bit, or the same DataError."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(rows=video_bodies())
+    def test_generated_bodies(self, rows, example_dir):
+        path = write_body(example_dir, rows)
+        assert parse_outcome(path) == line_loop_outcome(path)
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661.5", 1.5), ("\xa00.5\xa0", 0.5)])
+    def test_what_float_takes_and_numpy_refuses_is_read(self, cell, value, example_dir):
+        path = write_body(example_dir, body_with(cell))
+        assert parse_outcome(path) == line_loop_outcome(path)
+        assert read_video(path).frames[1, 0, 0] == value
+
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "cell", ["0.5#x", "0x1p3", "", '"0.5"', "0.5\x00", "\x1f0.5", "0.5\x1f"]
+    )
+    def test_what_float_refuses_names_the_line(self, cell, last, example_dir):
+        path = write_body(example_dir, body_with(cell, last))
+        expected = f"non-numeric value {cell!r} in {path}:5"
+        assert parse_outcome(path) == line_loop_outcome(path) == expected
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "+NaN", "1e999"])
+    def test_non_finite_is_parsed_then_rejected(self, cell, example_dir):
+        path = write_body(example_dir, body_with(cell))
+        assert parse_outcome(path) == line_loop_outcome(path)
+        frames = gio._parse_video(path)[2]
+        assert np.array_equal(frames[1, 0, 0], float(cell), equal_nan=True)
+        assert read_error(read_video, path) == f"{path}: non-finite landmark coordinate in 'v'"
+
+    @pytest.mark.parametrize("rows, outcome", [
+        ([" ", FRAME_ROW, "\t", FRAME_ROW, "\xa0"], (2, 21, 3)),
+        ([FRAME_ROW], (1, 21, 3)),
+        ([], (0, 21, 3)),
+        ([FRAME_ROW[len("0.5,"):]] * 2, "{path}:4: expected 63 values, got 62"),
+    ], ids=["whitespace-lines", "one-frame", "no-frames", "62-cells"])
+    def test_layouts(self, rows, outcome, example_dir):
+        path = write_body(example_dir, rows)
+        parsed = parse_outcome(path)
+        assert parsed == line_loop_outcome(path)
+        if isinstance(outcome, str):
+            assert parsed == outcome.format(path=path)
+        else:
+            assert parsed[3] == outcome
+
+    def test_a_written_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        # the line loop calls _parse_floats for every line it reads
+        video = generate_dataset(default_profiles(), videos_per_profile=1, seed=0)[0]
+        write_video(video, tmp_path / "v.landmarks")
+
+        def refuse(cells, where):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(gio, "_parse_floats", refuse)
+        assert read_video(tmp_path / "v.landmarks").frames.tobytes() == video.frames.tobytes()
 
 
 class TestPlotExport:

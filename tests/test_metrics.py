@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_left
-from gesturemix import DataError, silhouette
+from gesturemix import DataError, parallel, silhouette
 from gesturemix.metrics import _BLOCK_BYTES
 from oracles import brute_force_silhouette, per_point_silhouette
 
@@ -217,6 +220,63 @@ class TestProcesses:
         with np.errstate(over="ignore"):
             assert np.all(np.isfinite(silhouette(data, assignment).per_point))
             _assert_same_as_per_point_loop(data, assignment)
+
+    def test_a_childs_warning_is_shown_once_as_in_the_serial_loop(self, cli_env):
+        # the data above under Python's default filter: each distinct warning
+        # once, however many processes met it
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from gesturemix import parallel, silhouette",
+            "parallel.usable_cpus = lambda: int(sys.argv[1])",
+            "rng = np.random.default_rng(16)",
+            "data = np.vstack([rng.normal(size=(600, 3)), np.full((1, 3), 1e200)])",
+            "silhouette(data, np.append(rng.integers(0, 2, size=600), 2))",
+        ])
+
+        def warnings_shown(cpus):
+            done = subprocess.run(
+                [sys.executable, "-W", "default", "-c", script, str(cpus)],
+                env=cli_env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            return [line for line in done.stderr.splitlines() if "RuntimeWarning" in line]
+
+        serial = warnings_shown(1)
+        assert len(serial) == 2  # the first square and the added squares overflow
+        assert all("overflow encountered in square" in line for line in serial)
+        assert warnings_shown(3) == serial
+
+    def test_a_childs_warnings_are_shown_with_their_items(self, cpus):
+        cpus(3)
+        caller = os.getpid()
+
+        def warn_in_a_child(i):
+            if os.getpid() != caller:
+                warnings.warn(f"item {i}", UserWarning)
+            return i
+
+        with pytest.warns(UserWarning) as shown:
+            assert list(parallel.fan_out(warn_in_a_child, list(range(6)))) == list(range(6))
+        assert [str(w.message) for w in shown] == ["item 1", "item 2", "item 4", "item 5"]
+        assert {w.filename for w in shown} == {warn_in_a_child.__code__.co_filename}
+        assert_no_child_left()
+
+    def test_a_childs_warning_made_an_error_is_its_items_error(self, cpus):
+        # pyproject makes every warning an error: item 1 is the first child's,
+        # and its error comes before the caller's at item 3
+        cpus(3)
+        caller = os.getpid()
+
+        def fail(i):
+            if os.getpid() != caller:
+                warnings.warn(f"item {i}", UserWarning)
+            if i == 3:
+                raise ValueError("item 3")
+            return i
+
+        with pytest.raises(UserWarning, match="item 1"):
+            list(parallel.fan_out(fail, list(range(6))))
+        assert_no_child_left()
 
     def test_more_processes_than_cores(self, cpus, forks):
         # a lost or misplaced block would break bit identity; every child must
