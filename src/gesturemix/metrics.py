@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .landmarks import all_finite
 from .parallel import fan_out
 
 # Bytes of each of the two (B, N) buffers, the distance block and its scratch:
@@ -37,7 +38,12 @@ class SilhouetteReport:
 
 
 def silhouette(data, assignment) -> SilhouetteReport:
-    """Silhouette report for a hard cluster assignment."""
+    """Silhouette report for a hard cluster assignment.
+
+    Data holding NaN or an infinite value is a DataError, and so is data too
+    widely spread for its largest squared distance to be finite, so accepted
+    data scores without a floating-point warning in any process.
+    """
     x = np.asarray(data, dtype=np.float64)
     labels = np.asarray(assignment)
     if x.ndim != 2:
@@ -50,6 +56,15 @@ def silhouette(data, assignment) -> SilhouetteReport:
     clusters, index = np.unique(labels, return_inverse=True)
     if clusters.size < 2:
         raise DataError("silhouette needs at least 2 distinct clusters")
+    if not all_finite(x):
+        raise DataError("silhouette data holds NaN or an infinite value")
+    # Rounding is monotone, so no squared distance exceeds the column spans'
+    # squares added in score_block's order; a finite bound keeps every
+    # difference, square, sum, a, b and b - a there finite.
+    with np.errstate(over="ignore"):
+        reach = sum(np.square(x.max(axis=0) - x.min(axis=0)))
+    if not np.isfinite(reach):
+        raise DataError("silhouette data spans too wide a range to square in double precision")
 
     # Columns sorted by cluster, stably, so every cluster is one slice
     # [bounds[c], bounds[c + 1]) holding its members in their original order.

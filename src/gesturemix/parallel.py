@@ -8,9 +8,7 @@ same processes, so there is one way to use every core.
 
 import os
 import pickle
-import sys
 import threading
-import warnings
 
 
 def usable_cpus() -> int:
@@ -28,13 +26,13 @@ def fan_out(fn, items):
     The caller and one forked child per further usable CPU each take every
     w-th item, so items of unequal cost still balance. Each process stops its
     share at its first error, as no later item of that share comes first in
-    item order. A warning a child shows is shown again here, with its item,
-    so this process's filters and registry treat it as the serial loop's
-    (a warning the filters make an error is that item's error, in the child
-    as in the loop). Every child has been reaped when this returns. The serial
-    loop runs when one CPU is usable, without `os.fork`, and while the caller
-    runs other threads: a lock one of them held at the fork would stay held
-    in the child.
+    item order. Only results and errors come back: the callees emit no
+    warnings on input their callers accept, and a warning would be shown or
+    raised in the child that emitted it (one its filters make an error is that
+    item's error, as in the loop). Every child has been reaped when this
+    returns. The serial loop runs when one CPU is usable, without `os.fork`,
+    and while the caller runs other threads: a lock one of them held at the
+    fork would stay held in the child.
     """
     w = min(usable_cpus(), len(items))  # looked up here, so tests can set it
     if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -62,18 +60,14 @@ def fan_out(fn, items):
     return _in_item_order(shares, len(items))
 
 
-def _outcomes(fn, share, log=()) -> list:
-    """(True, fn(item), shown) for the items of the share, up to a first
-    (False, error, shown); shown holds the warnings `log` gained meanwhile."""
+def _outcomes(fn, share) -> list:
+    """(True, fn(item)) for the items of the share, up to a first (False, error)."""
     outcomes = []
     for item in share:
-        seen = len(log)
         try:
-            ok, value = True, fn(item)
+            outcomes.append((True, fn(item)))
         except Exception as exc:
-            ok, value = False, exc
-        outcomes.append((ok, value, [(w.message, w.filename, w.lineno) for w in log[seen:]]))
-        if not ok:
+            outcomes.append((False, exc))
             break
     return outcomes
 
@@ -85,8 +79,8 @@ def _answer(fn, share, write_end, inherited) -> None:
     try:
         for fd in inherited:
             os.close(fd)
-        with open(write_end, "wb") as pipe, warnings.catch_warnings(record=True) as log:
-            pickle.dump(_outcomes(fn, share, log), pipe, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(_outcomes(fn, share), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -100,30 +94,13 @@ def _receive(pid: int, read_end: int) -> list:
             return pickle.load(pipe)
     except Exception as exc:
         error = ChildProcessError(f"worker process {pid} ended without answering: {exc}")
-        return [(False, error, [])]
-
-
-def _show_again(shown) -> None:
-    """Warn here each warning a child showed, under the registry of the module
-    it was issued from, as the warning itself would have been."""
-    for message, filename, lineno in shown:
-        module = next(
-            (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename),
-            None,
-        )
-        # not from a module's file: no registry, and the module named after the file
-        context = {} if module is None else {
-            "module": module.__name__,
-            "registry": vars(module).setdefault("__warningregistry__", {}),
-        }
-        warnings.warn_explicit(message, type(message), filename, lineno, **context)
+        return [(False, error)]
 
 
 def _in_item_order(shares: list, n: int):
     w = len(shares)
     for i in range(n):
-        ok, value, shown = shares[i % w][i // w]
-        _show_again(shown)
+        ok, value = shares[i % w][i // w]
         if not ok:
             raise value
         yield value

@@ -22,11 +22,17 @@ def cli_env():
 
     A relative PYTHONPATH (such as ``src``) stops resolving once a child runs
     with another working directory, so the absolute directory holding the
-    imported package goes first; existing entries are kept after it.
+    imported package goes first; existing entries are kept after it. Any
+    warning is an error in the child and in the processes it forks, as it is
+    in the tests themselves.
     """
     package_root = str(Path(gesturemix.__file__).resolve().parent.parent)
     entries = [package_root, os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, entries))}
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, entries)),
+        "PYTHONWARNINGS": "error",
+    }
 
 
 @pytest.fixture()

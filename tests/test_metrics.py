@@ -1,12 +1,10 @@
 import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_left
@@ -208,58 +206,40 @@ class TestProcesses:
             silhouette(rng.normal(size=(600, 3)), rng.integers(0, 3, size=600))
         assert_no_child_left()
 
-    def test_workers_keep_the_callers_errstate(self, cpus):
-        # distances to the far singleton overflow; b is the nearer cluster's, so
-        # nothing else is out of range; pyproject makes any warning an error
+    @pytest.mark.parametrize(("far", "reason"), [
+        (np.nan, "NaN or an infinite value"),
+        (np.inf, "NaN or an infinite value"),
+        (-np.inf, "NaN or an infinite value"),
+        (1e200, "too wide a range"),
+        (1e154, "too wide a range"),
+    ])
+    def test_data_it_cannot_score_is_rejected_before_any_fork(self, cpus, forks, far, reason):
+        # 1e200 is finite, but its squared distance to the rest overflows; at
+        # 1e154 each coordinate's square is finite and their sum overflows
         cpus(2)
         rng = np.random.default_rng(16)
-        data = np.vstack([rng.normal(size=(600, 3)), np.full((1, 3), 1e200)])
+        data = np.vstack([rng.normal(size=(600, 3)), np.full((1, 3), far)])
         assignment = np.append(rng.integers(0, 2, size=600), 2)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DataError, match=reason):
             silhouette(data, assignment)
-        with np.errstate(over="ignore"):
-            assert np.all(np.isfinite(silhouette(data, assignment).per_point))
-            _assert_same_as_per_point_loop(data, assignment)
+        assert forks == []
 
-    def test_a_childs_warning_is_shown_once_as_in_the_serial_loop(self, cli_env):
-        # the data above under Python's default filter: each distinct warning
-        # once, however many processes met it
-        script = "\n".join([
-            "import sys",
-            "import numpy as np",
-            "from gesturemix import parallel, silhouette",
-            "parallel.usable_cpus = lambda: int(sys.argv[1])",
-            "rng = np.random.default_rng(16)",
-            "data = np.vstack([rng.normal(size=(600, 3)), np.full((1, 3), 1e200)])",
-            "silhouette(data, np.append(rng.integers(0, 2, size=600), 2))",
-        ])
-
-        def warnings_shown(cpus):
-            done = subprocess.run(
-                [sys.executable, "-W", "default", "-c", script, str(cpus)],
-                env=cli_env, capture_output=True, text=True, timeout=60, check=True,
-            )
-            return [line for line in done.stderr.splitlines() if "RuntimeWarning" in line]
-
-        serial = warnings_shown(1)
-        assert len(serial) == 2  # the first square and the added squares overflow
-        assert all("overflow encountered in square" in line for line in serial)
-        assert warnings_shown(3) == serial
-
-    def test_a_childs_warnings_are_shown_with_their_items(self, cpus):
-        cpus(3)
-        caller = os.getpid()
-
-        def warn_in_a_child(i):
-            if os.getpid() != caller:
-                warnings.warn(f"item {i}", UserWarning)
-            return i
-
-        with pytest.warns(UserWarning) as shown:
-            assert list(parallel.fan_out(warn_in_a_child, list(range(6)))) == list(range(6))
-        assert [str(w.message) for w in shown] == ["item 1", "item 2", "item 4", "item 5"]
-        assert {w.filename for w in shown} == {warn_in_a_child.__code__.co_filename}
+    def test_workers_keep_the_callers_errstate(self, cpus, forks):
+        # two points 1e-170 apart: their distance's square underflows, in the
+        # block the child scores, while the column spans square as usual
+        rng = np.random.default_rng(16)
+        data = np.vstack([rng.normal(size=(600, 3)), [[10.0, 10.0, 0.0], [10.0, 10.0, 1e-170]]])
+        assignment = np.append(np.zeros(600, dtype=int), [1, 1])
+        errors = []
+        for count in (1, 2):
+            cpus(count)
+            with np.errstate(under="raise"), pytest.raises(FloatingPointError) as caught:
+                silhouette(data, assignment)
+            errors.append(str(caught.value))
+        assert errors[1] == errors[0] == "underflow encountered in square"
+        assert len(forks) == 1
         assert_no_child_left()
+        _assert_same_as_per_point_loop(data, assignment)  # underflow is ignored by default
 
     def test_a_childs_warning_made_an_error_is_its_items_error(self, cpus):
         # pyproject makes every warning an error: item 1 is the first child's,
@@ -313,3 +293,43 @@ def test_matches_brute_force_on_small_inputs(points):
     report = silhouette(data, assignment)
     oracle = brute_force_silhouette(data, assignment)
     assert np.allclose(report.per_point, oracle, atol=1e-12, rtol=0)
+
+
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 1e154, -1e154]
+
+
+# cpus(2) sets the same CPU count for every example, and the forks made by one
+# example are counted from its start
+@settings(
+    max_examples=200, deadline=None, database=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+            st.integers(0, 3),
+        ),
+        min_size=3,
+        max_size=30,
+    ),
+    # (row, column, value) written over the points: any float64 at all
+    wild=st.lists(
+        st.tuples(st.integers(0, 29), st.integers(0, 2), st.floats() | st.sampled_from(_EDGE_FLOATS)),
+        max_size=3,
+    ),
+)
+def test_any_float_data_is_rejected_unforked_or_scored_exactly(points, wild, cpus, forks):
+    # pyproject makes a warning in this process an error, and a warning in a
+    # child the error of the child's block
+    cpus(2)
+    data = np.array([p for p, _ in points])
+    assignment = np.array([c for _, c in points])
+    assume(len(np.unique(assignment)) >= 2)
+    for row, column, value in wild:
+        data[row % len(data), column] = value
+    forked = len(forks)
+    try:
+        _assert_same_as_per_point_loop(data, assignment)
+    except DataError:
+        assert len(forks) == forked
