@@ -15,7 +15,6 @@ from .gmm import (
     MixtureParams,
     e_step,
     fit,
-    initialize,
     log_likelihood,
 )
 from .landmarks import (
@@ -56,7 +55,6 @@ __all__ = [
     "fit_normalization",
     "generate_dataset",
     "generate_video",
-    "initialize",
     "log_likelihood",
     "record_header",
     "result_record",

@@ -62,10 +62,7 @@ def _ingest_features(path: Path):
     """
     if path.is_dir():
         videos = read_video_dir(path)
-        # an overflowing variance is reported by compute_variances as a data
-        # error, so numpy's own warning would only repeat it
-        with np.errstate(over="ignore"):
-            features = [compute_variances(v) for v in videos]
+        features = [compute_variances(v) for v in videos]
         total_frames = sum(v.frame_count for v in videos)
     elif path.is_file():
         features, total_frames = read_feature_csv(path), None
@@ -106,6 +103,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # every model file records a silhouette, which needs two clusters
+    if args.k is not None and args.k < 2:
+        raise UsageError("--k must be at least 2")
     try:
         # without --k the label count sets k once the input is read
         config = EmConfig(
@@ -125,6 +125,8 @@ def cmd_train(args) -> int:
         raise DataError(f"training data must be labeled; missing on {unlabeled[:3]}")
     distinct = sorted({f.label for f in features})
     if args.k is None:
+        if len(distinct) < 2:
+            raise DataError(f"training data has one label, {distinct[0]!r}; train needs at least 2")
         config = replace(config, k=len(distinct))
 
     raw_rows = np.vstack([f.rows for f in features])
@@ -132,41 +134,13 @@ def cmd_train(args) -> int:
     stats = fit_normalization(raw_rows)
     data = apply_normalization(raw_rows, stats)
     params, resp, trace = fit(data, config)
-    # only once fit has accepted K: a K it rejects is an error, not a warning
-    if config.k != len(distinct):
-        print(
-            f"warning: --k {args.k} differs from {len(distinct)} distinct labels; proceeding",
-            file=sys.stderr,
-        )
     assignment = np.argmax(resp, axis=1)
     label_map = build_label_map(assignment, row_labels, params.k)
-    # An unconverged fit and, with fewer components than labels, an uncovered
-    # label still exit 0 with unchanged stdout; stderr says what is wrong.
-    if not trace.converged:
-        last_change = trace.log_likelihoods[-1] - trace.log_likelihoods[-2]
-        print(
-            f"warning: EM stopped at --max-iters {config.max_iters} without converging "
-            f"(last log-likelihood change {last_change:.3g}, --tol {config.tol:g})",
-            file=sys.stderr,
-        )
-    if trace.screened:
-        print(
-            "note: EM start 0 had not converged within its screen; starts 0-"
-            f"{len(trace.screened) - 1} scored "
-            f"{', '.join(f'{ll:.6g}' for ll in trace.screened)}; kept start {trace.start}",
-            file=sys.stderr,
-        )
     unowned = sorted(set(distinct) - set(label_map.labels))
     if unowned and config.k >= len(distinct):
         raise NumericalError(
             f"no component is labelled {', '.join(unowned)} "
             f"(k={config.k} for {len(distinct)} training labels); no model written"
-        )
-    if unowned:
-        print(
-            f"warning: no component is labelled {', '.join(unowned)}; "
-            "classify can never return these gestures",
-            file=sys.stderr,
         )
     report = silhouette(data, assignment)
 
@@ -189,6 +163,35 @@ def cmd_train(args) -> int:
         out / "train_plot_after.csv": [label_map.labels[a] for a in assignment],
     })
 
+    # Only a written model gets warnings, so a failed train prints just its error.
+    # A --k other than the label count, an unconverged fit and, with fewer
+    # components than labels, an uncovered label still exit 0 with unchanged stdout.
+    if config.k != len(distinct):
+        print(
+            f"warning: --k {args.k} differs from {len(distinct)} distinct labels; proceeding",
+            file=sys.stderr,
+        )
+    if not trace.converged:
+        last_change = trace.log_likelihoods[-1] - trace.log_likelihoods[-2]
+        print(
+            f"warning: EM stopped at --max-iters {config.max_iters} without converging "
+            f"(last log-likelihood change {last_change:.3g}, --tol {config.tol:g})",
+            file=sys.stderr,
+        )
+    if trace.screened:
+        print(
+            "note: EM start 0 had not converged within its screen; starts 0-"
+            f"{len(trace.screened) - 1} scored "
+            f"{', '.join(f'{ll:.6g}' for ll in trace.screened)}; kept start {trace.start}",
+            file=sys.stderr,
+        )
+    if unowned:
+        print(
+            f"warning: no component is labelled {', '.join(unowned)}; "
+            "classify can never return these gestures",
+            file=sys.stderr,
+        )
+
     print(f"iterations={trace.n_iters}")
     print(f"converged={str(trace.converged).lower()}")
     print(f"log_likelihood={trace.log_likelihoods[-1]:.17g}")
@@ -201,13 +204,7 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     start = time.perf_counter()
     features, total_frames = _ingest_features(Path(args.input))
-    # a density that vanishes for some row is reported by the E-step as a
-    # numerical failure, so numpy's overflow and invalid-value warnings would
-    # only repeat it; set here, not in the E-step the closed loop calls per gesture
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = [
-            classify_video(f, model.params, model.label_map, model.stats) for f in features
-        ]
+    results = [classify_video(f, model.params, model.label_map, model.stats) for f in features]
     elapsed = time.perf_counter() - start
 
     print(record_header(model.label_map))
@@ -230,8 +227,7 @@ def cmd_score(args) -> int:
     model = load_model(args.model)
     features, _ = _ingest_features(Path(args.input))
     data = apply_normalization(np.vstack([f.rows for f in features]), model.stats)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in cmd_classify
-        assignment = np.argmax(e_step(data, model.params), axis=1)
+    assignment = np.argmax(e_step(data, model.params), axis=1)
     report = silhouette(data, assignment)
     print(report.to_text())
     return 0
@@ -278,7 +274,10 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
+        # an overflow or invalid value in any command fails a finiteness check that
+        # raises below, so numpy's warning would only repeat it; library callers keep theirs
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

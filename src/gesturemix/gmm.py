@@ -275,7 +275,7 @@ def _global_cov(x: np.ndarray, reg_eps: float, covariance_mode: str) -> np.ndarr
     return cov + max(reg_eps, 1e-12) * np.eye(x.shape[1])
 
 
-def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_means(x: np.ndarray, k: int, rng: "np.random.Generator") -> np.ndarray:
     """k-means++-style seeding: next mean drawn with probability proportional to
     squared distance from the nearest already-chosen mean."""
     n = x.shape[0]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import subprocess
 import sys
 import time
@@ -5,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturemix import cli
 from gesturemix.cli import main
@@ -34,6 +38,31 @@ def make_corpus(path, videos_per_profile=5, frames=150, seed=9):
     for video in videos:
         write_video(video, path / f"{video.source_id}.landmarks")
     return videos
+
+
+@pytest.fixture(params=["in-process", "subprocess"])
+def cli_run(request, capsys, cli_env):
+    """Run the CLI in the test's process, where any warning is an error, or as
+    ``python -m gesturemix.cli`` under cli_env; returns (code, stdout, stderr)."""
+    if request.param == "in-process":
+        return lambda *argv: run(capsys, *argv)
+
+    def in_child(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "gesturemix.cli", *argv],
+            env=cli_env, capture_output=True, text=True, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    return in_child
+
+
+def small_features(scaled=0, by=1.0):
+    """Variance rows of 12 small videos, 3 per gesture; video `scaled`'s times `by`."""
+    videos = generate_dataset(default_profiles(), videos_per_profile=3, frames=40, seed=2)
+    features = [compute_variances(v) for v in videos]
+    features[scaled] = replace(features[scaled], rows=features[scaled].rows * by)
+    return features
 
 
 @pytest.fixture()
@@ -215,9 +244,10 @@ class TestTrain:
         code, stdout, stderr = run(capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out))
         assert code == 3
         assert stdout == ""
-        assert stderr.splitlines()[-1] == (
+        # only a written model gets warnings or the screening note
+        assert stderr == (
             "numerical failure: no component is labelled stack "
-            "(k=4 for 4 training labels); no model written"
+            "(k=4 for 4 training labels); no model written\n"
         )
         assert not out.exists()  # no model.gmm, no plot export
 
@@ -258,6 +288,31 @@ class TestTrain:
             "data error: landmark variance overflows in 'v0': "
             "coordinates are too large to square in double precision\n"
         )
+
+    def test_k_of_1_is_usage_error(self, tmp_path, cli_run):
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        out = tmp_path / "o"
+        code, stdout, stderr = cli_run(
+            "train", "--input", str(tmp_path / "data"), "--output", str(out), "--k", "1"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "usage error: --k must be at least 2\n"
+        assert not (out / "model.gmm").exists()
+
+    def test_one_label_is_data_error_before_fit(self, tmp_path, cli_run, monkeypatch):
+        videos = generate_dataset(default_profiles()[:1], videos_per_profile=3, frames=20, seed=2)
+        csv = tmp_path / "one-label.csv"
+        write_feature_csv([compute_variances(v) for v in videos], csv)
+        monkeypatch.setattr(cli, "fit", None)  # the in-process run fails if fit is called
+        out = tmp_path / "o"
+        code, stdout, stderr = cli_run("train", "--input", str(csv), "--output", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (
+            "data error: training data has one label, 'wave'; train needs at least 2\n"
+        )
+        assert not (out / "model.gmm").exists()
 
     def test_unlabeled_training_data_rejected(self, tmp_path, capsys):
         videos = generate_dataset(default_profiles(), videos_per_profile=2, frames=20, seed=2)
@@ -509,6 +564,72 @@ def test_vanished_density_is_numerical_failure_without_numpy_warning(
     assert done.stderr == "numerical failure: mixture density vanished for some data point\n"
 
 
+class TestOverflowingInput:
+    """Input whose statistics overflow is a data error: exit 2, one stderr line and
+    no numpy warning, which would be an error here."""
+
+    @pytest.fixture()
+    def csv(self, tmp_path):
+        """small_features() with the first video's x variances set to 1e308."""
+        features = small_features()
+        features[0] = replace(features[0], rows=np.full((21, 3), [1e308, 1.0, 1.0]))
+        write_feature_csv(features, tmp_path / "f.csv")
+        return str(tmp_path / "f.csv")
+
+    def test_train_on_a_variance_of_1e308(self, tmp_path, cli_run, csv):
+        out = tmp_path / "o"
+        code, stdout, stderr = cli_run("train", "--input", csv, "--output", str(out))
+        assert (code, stdout, stderr) == (2, "", "data error: non-finite normalization stats\n")
+        assert not out.exists()
+
+    def test_score_on_a_variance_of_1e308(self, cli_run, csv, trained_dir):
+        model = str(trained_dir[1] / "model.gmm")
+        code, stdout, stderr = cli_run("score", "--model", model, "--input", csv)
+        assert (code, stdout, stderr) == (2, "", "data error: non-finite data point\n")
+
+    def test_train_on_coordinates_scaled_by_1e150(self, tmp_path, cli_run):
+        # each variance stays finite, but squaring them in the column std overflows
+        data, out = tmp_path / "data", tmp_path / "o"
+        videos = make_corpus(data, videos_per_profile=2, frames=20)
+        path = data / f"{videos[0].source_id}.landmarks"
+        write_video(replace(videos[0], frames=videos[0].frames * 1e150), path)
+        code, stdout, stderr = cli_run("train", "--input", str(data), "--output", str(out))
+        assert (code, stdout, stderr) == (2, "", "data error: non-finite normalization stats\n")
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A model trained on small_features(), which it classifies."""
+    out = tmp_path_factory.mktemp("small-model")
+    write_feature_csv(small_features(), out / "f.csv")
+    assert main(["train", "--input", str(out / "f.csv"), "--output", str(out)]) == 0
+    return out / "model.gmm"
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(video=st.integers(0, 11), exponent=st.integers(-300, 308))
+def test_one_video_scaled_by_a_power_of_ten_ends_cleanly(small_model, video, exponent):
+    directory = small_model.parent / "scaled"
+    directory.mkdir(exist_ok=True)
+    write_feature_csv(small_features(video, 10.0**exponent), directory / "f.csv")
+    inputs = ["--input", str(directory / "f.csv")]
+    for argv in (
+        ["train", *inputs, "--output", str(directory)],
+        ["classify", "--model", str(small_model), *inputs],
+        ["score", "--model", str(small_model), *inputs],
+    ):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)  # a numpy warning would raise here
+        assert code in (0, 2, 3)
+        if code:
+            assert stdout.getvalue() == ""
+            assert len(stderr.getvalue().splitlines()) == 1
+        else:
+            assert "nan" not in stdout.getvalue()
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
@@ -555,6 +676,11 @@ def _loaded_by_cli_import(module, env, *argvs) -> bool:
 
 def test_cli_import_does_not_load_scipy(cli_env):
     assert not _loaded_by_cli_import("scipy", cli_env)
+
+
+def test_cli_import_does_not_load_numpy_random(cli_env):
+    # synth and train load it when they first draw
+    assert not _loaded_by_cli_import("numpy.random", cli_env)
 
 
 def test_cli_import_does_not_load_concurrent_futures(tmp_path, cli_env):

@@ -24,7 +24,6 @@ from gesturemix import (
     fit,
     fit_normalization,
     generate_dataset,
-    initialize,
     log_likelihood,
 )
 from gesturemix import gmm
@@ -311,14 +310,14 @@ class TestInitialize:
     def test_k1_uses_centroid(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 3))
-        params = initialize(x, EmConfig(k=1, seed=0))
+        params = gmm.initialize(x, EmConfig(k=1, seed=0))
         assert np.allclose(params.means[0], x.mean(axis=0), atol=1e-12)
         assert params.weights[0] == 1.0
 
     def test_deterministic_for_fixed_seed(self):
         x = np.random.default_rng(2).normal(size=(40, 3))
-        a = initialize(x, EmConfig(k=3, seed=123))
-        b = initialize(x, EmConfig(k=3, seed=123))
+        a = gmm.initialize(x, EmConfig(k=3, seed=123))
+        b = gmm.initialize(x, EmConfig(k=3, seed=123))
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.covs, b.covs)
 
@@ -327,13 +326,13 @@ class TestInitialize:
         x = np.array(
             [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
         )
-        params = initialize(x, EmConfig(k=4, seed=seed))
+        params = gmm.initialize(x, EmConfig(k=4, seed=seed))
         means = sorted(tuple(np.round(m, 6)) for m in params.means)
         assert means == sorted(tuple(row) for row in x)
 
     def test_fewer_points_than_components_rejected(self):
         with pytest.raises(DataError):
-            initialize(np.zeros((3, 3)), EmConfig(k=4, seed=0))
+            gmm.initialize(np.zeros((3, 3)), EmConfig(k=4, seed=0))
 
 
 def sample_mixture(rng, means, sigma, n_per):
