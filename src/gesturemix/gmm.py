@@ -93,8 +93,9 @@ class MixtureParams:
             raise DataError("non-finite component parameters")
         if not ((weights >= 0).all() and (weights <= 1).all()):  # NaN fails both
             raise DataError("mixing weights must lie in [0, 1]")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise DataError(f"mixing weights sum to {weights.sum()!r}, expected 1")
+        weight_sum = float(weights.sum())
+        if abs(weight_sum - 1.0) > 1e-12:
+            raise DataError(f"mixing weights sum to {weight_sum!r}, expected 1 within 1e-12")
         asymmetric = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12
         if asymmetric.any():
             bad = int(np.argmax(asymmetric))

@@ -38,17 +38,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_floats(cells: list[str], where) -> list[float]:
+def _parse_floats(cells: list[str], where: str) -> list[float]:
     """The cells as floats. The first cell that does not parse is a DataError
-    naming the line `where()`, which is called only then."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError as exc:
-                raise DataError(f"non-numeric value {cell!r} in {where()}") from exc
+    naming the line `where`."""
+    values = []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError as exc:
+            raise DataError(f"non-numeric value {cell!r} in {where}") from exc
+    return values
 
 
 def _read_lines(path: Path, error=DataError) -> list[str]:
@@ -138,7 +137,7 @@ def _parse_video(path: Path) -> tuple[str, str | None, np.ndarray]:
             raise DataError(
                 f"{path}:{lineno}: expected {LANDMARK_COUNT * COORD_DIM} values, got {len(cells)}"
             )
-        values += _parse_floats(cells, lambda: f"{path}:{lineno}")
+        values += _parse_floats(cells, f"{path}:{lineno}")
     return source_id, label, np.array(values).reshape(-1, LANDMARK_COUNT, COORD_DIM)
 
 
@@ -233,7 +232,7 @@ def read_feature_csv(path) -> list[FeatureMatrix]:
             values[:, j] = list(map(float, cells[1 + j::6]))
     except ValueError:
         for i in range(n):  # raises on the file's first bad cell
-            _parse_floats(cells[6 * i + 1:6 * i + 4], lambda: f"{path} row {lineno[i]}")
+            _parse_floats(cells[6 * i + 1:6 * i + 4], f"{path} row {lineno[i]}")
         raise  # not reached: some cell failed to parse above
     return [
         _checked(f"{path} row {lineno[start]}", lambda: FeatureMatrix(
@@ -335,8 +334,8 @@ def save_model(model: ModelFile, path) -> None:
 
 def load_model(path) -> ModelFile:
     """Read a model file back. The loader checks the key sequence, the component
-    indices, the weight sum and the `end` sentinel; every range and shape check
-    is made by the object the values build."""
+    indices and the `end` sentinel; every range, shape and weight-sum check is
+    made by the object the values build."""
     path = Path(path)
     lines = [line for line in _read_lines(path, ModelFormatError) if line.strip()]
     if not lines or lines[0] != MODEL_MAGIC:
@@ -366,14 +365,6 @@ def load_model(path) -> ModelFile:
         k=head["k"], covariance_mode=head["covariance_mode"], seed=head["seed"],
         tol=head["tol"], max_iters=head["max_iters"], reg_eps=head["reg_eps"],
     ), "config")
-    weights = head["weights"]
-    weight_sum = float(weights.sum())
-    if abs(weight_sum - 1.0) > 1e-9:
-        raise ModelFormatError(
-            f"{path}: weights sum to {weight_sum!r}, expected 1 within 1e-9", field="weights"
-        )
-    if abs(weight_sum - 1.0) > 1e-12:
-        weights = weights / weight_sum
 
     components = []
     for idx in range(config.k):
@@ -398,7 +389,7 @@ def load_model(path) -> ModelFile:
     params = _checked(path, lambda: MixtureParams(
         means=stacked("mean"),
         covs=np.array(stacked("cov")).reshape(config.k, COORD_DIM, COORD_DIM),
-        weights=weights,
+        weights=head["weights"],
     ), "weights/components")
     label_map = _checked(path, lambda: ClusterLabelMap(
         labels=tuple(stacked("label")), confidence=tuple(stacked("confidence"))

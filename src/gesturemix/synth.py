@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .landmarks import COORD_DIM, LANDMARK_COUNT, GestureVideo
+from .landmarks import COORD_DIM, LANDMARK_COUNT, GestureVideo, all_finite, check_names
 
 # Full sinusoid cycles per video; integral so the motion variance is exact.
 MOTION_CYCLES = 3
@@ -63,13 +63,14 @@ class GestureProfile:
     base_pose: np.ndarray
 
     def __post_init__(self):
+        check_names(name=self.name)  # every video's label and part of its source id
         amps = np.array(self.axis_amplitudes, dtype=np.float64)
         pose = np.array(self.base_pose, dtype=np.float64)
-        if amps.shape != (COORD_DIM,) or np.any(amps < 0):
-            raise DataError("axis_amplitudes must be 3 non-negative reals")
-        if not self.noise_std > 0:
-            raise DataError("noise_std must be positive")
-        if pose.shape != (LANDMARK_COUNT, COORD_DIM) or not np.all(np.isfinite(pose)):
+        if amps.shape != (COORD_DIM,) or not all_finite(amps) or np.any(amps < 0):
+            raise DataError("axis_amplitudes must be 3 finite non-negative reals")
+        if not (self.noise_std > 0 and all_finite(self.noise_std)):
+            raise DataError("noise_std must be positive and finite")
+        if pose.shape != (LANDMARK_COUNT, COORD_DIM) or not all_finite(pose):
             raise DataError(f"base_pose must be a finite {LANDMARK_COUNT}x{COORD_DIM} array")
         amps.setflags(write=False)
         pose.setflags(write=False)

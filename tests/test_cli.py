@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import io
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,6 +678,34 @@ def _loaded_by_cli_import(module, env, *argvs) -> bool:
 
 def test_cli_import_does_not_load_scipy(cli_env):
     assert not _loaded_by_cli_import("scipy", cli_env)
+
+
+def test_package_imports_only_numpy_and_the_standard_library_and_uses_them():
+    """numpy is the only runtime dependency, and no module keeps a dead import;
+    __init__.py imports to re-export."""
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
+        bound, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+                bound.update(alias.asname or root for alias, root in zip(node.names, roots))
+            else:
+                roots = [node.module.split(".")[0]] if node.level == 0 else []
+                bound.update(alias.asname or alias.name for alias in node.names)
+            for root in roots:
+                assert root == "numpy" or root in sys.stdlib_module_names, (
+                    f"{module.name}:{node.lineno} imports {root!r}"
+                )
+        if module.name != "__init__.py":
+            unused = sorted(bound - used)
+            assert not unused, f"{module.name} imports {unused} and does not use them"
 
 
 def test_cli_import_does_not_load_numpy_random(cli_env):

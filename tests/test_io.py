@@ -585,6 +585,25 @@ class TestModelFormat:
             load_model(path)
         assert "weights" in excinfo.value.field
 
+    def test_weights_off_by_more_than_1e_12_are_a_format_error(self, tmp_path):
+        path = tmp_path / "m.gmm"
+        line = "weights=0.25,0.75000000005"
+        path.write_text(SMALL_MODEL_TEXT.replace("weights=0.25,0.75", line))
+        with pytest.raises(ModelFormatError, match="expected 1 within 1e-12") as excinfo:
+            load_model(path)
+        assert "weights" in excinfo.value.field
+        assert "np.float64" not in str(excinfo.value)
+
+    def test_weights_within_1e_12_load_exactly_as_written(self, tmp_path):
+        # 0.7500000000001 as the writer spells it, in 17 significant digits
+        line = "weights=0.25,0.75000000000010003"
+        path = tmp_path / "m.gmm"
+        path.write_text(SMALL_MODEL_TEXT.replace("weights=0.25,0.75", line))
+        model = load_model(path)
+        assert model.params.weights.tobytes() == np.array([0.25, 0.7500000000001]).tobytes()
+        save_model(model, path)
+        assert line in path.read_text().splitlines()
+
     def test_non_finite_norm_std_is_a_format_error(self, tmp_path):
         path = tmp_path / "m.gmm"
         path.write_text(SMALL_MODEL_TEXT.replace("norm_std=1,", "norm_std=nan,"))

@@ -143,6 +143,19 @@ def test_bad_profile_rejected():
     with pytest.raises(DataError):
         GestureProfile(name="x", axis_amplitudes=np.zeros(3), noise_std=0.0,
                        base_pose=BASE_POSE)
+    # a bad field fails here, naming the profile's field, not later in generate_video
+    good = dict(name="x", axis_amplitudes=np.zeros(3), noise_std=0.1, base_pose=BASE_POSE)
+    for field, value, message in [
+        ("axis_amplitudes", [np.nan, 0.0, 0.0], "axis_amplitudes"),
+        ("axis_amplitudes", [np.inf, 0.0, 0.0], "axis_amplitudes"),
+        ("noise_std", np.inf, "noise_std"),
+        ("name", "", "name is empty"),
+        ("name", "a,b", "comma or line break"),
+        ("name", "a\nb", "comma or line break"),
+        ("name", "\ud800", "UTF-8"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            GestureProfile(**{**good, field: value})
 
 
 class TestGenerateDataset:
