@@ -170,17 +170,21 @@ class EmTrace:
 
     `log_likelihoods[0]` is the likelihood of the initial parameters and each
     later entry follows one E/M update, so the sequence is non-decreasing (up
-    to 1e-9 slack). These three fields describe the returned start, whose index
-    is `start`. `screened` holds every screened start's log-likelihood at the
-    end of its screen (-inf for a start that failed numerically); it is empty
-    when start 0 converged within the screen.
+    to 1e-9 slack). It, `n_iters` and `converged` describe the returned start,
+    whose index is `start`. `screened` holds every screened start's
+    log-likelihood at the end of its screen (-inf for a start that failed
+    numerically); it is empty when start 0 converged within the screen.
     """
 
     log_likelihoods: list[float] = field(default_factory=list)
-    n_iters: int = 0
     converged: bool = False
     start: int = 0
     screened: list[float] = field(default_factory=list)
+
+    @property
+    def n_iters(self) -> int:
+        """The E/M updates made: one less than the log-likelihoods recorded."""
+        return len(self.log_likelihoods) - 1
 
     @property
     def reseeds(self) -> list[int]:
@@ -298,14 +302,9 @@ def _seed_means(x: np.ndarray, k: int, rng: "np.random.Generator") -> np.ndarray
 def initialize(data, config: EmConfig) -> MixtureParams:
     """Seeded starting parameters: k-means++ means, global covariance, uniform weights."""
     x = _as_data(data, config.k)
-    n, d = x.shape
-    rng = np.random.default_rng(config.seed)
-    if config.k == 1:
-        means = x.mean(axis=0)[None, :]
-    else:
-        means = _seed_means(x, config.k, rng)
+    means = _seed_means(x, config.k, np.random.default_rng(config.seed))
     cov = _global_cov(x, config.reg_eps, config.covariance_mode)
-    covs = np.broadcast_to(cov, (config.k, d, d))
+    covs = np.broadcast_to(cov, (config.k, *cov.shape))
     weights = np.full(config.k, 1.0 / config.k)
     return MixtureParams(means=means, covs=covs, weights=weights)
 
@@ -340,12 +339,10 @@ class _Run:
         config, trace = self.config, self.trace
         lls = trace.log_likelihoods
         while not trace.converged and trace.n_iters < n_iters:
-            iteration = trace.n_iters + 1
             ll = self._e_step(_m_step(
                 self.xt, self.resp, self.mass, config.reg_eps, config.covariance_mode, self.work
             ))
             lls.append(ll)
-            trace.n_iters = iteration
             trace.converged = abs(ll - lls[-2]) < config.tol
         return lls[-1]
 

@@ -24,7 +24,8 @@ import numpy as np
 from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
 from .gmm import EmConfig, MixtureParams
-from .landmarks import COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo, NormalizationStats
+from .landmarks import (COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo,
+                        NormalizationStats, check_names)
 from .parallel import fan_out
 
 VIDEO_MAGIC = "gesture-landmarks v1"
@@ -32,10 +33,6 @@ MODEL_MAGIC = "gesture-gmm-model v2"
 FEATURE_CSV_HEADER = "lm,var_x,var_y,var_z,source_id,label"
 PLOT_HEADER = "var_x,var_y,var_z,group"
 MANIFEST_HEADER = "file,source_id,label"
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _parse_floats(cells: list[str], where: str) -> list[float]:
@@ -82,9 +79,10 @@ def _checked(where, make, field: str | None = None):
         raise DataError(f"{where}: {exc}") from exc
 
 
-# Row templates: each value written as _fmt writes it.
-_FRAME_ROW = ",".join(["%.17g"] * (LANDMARK_COUNT * COORD_DIM))
-_VARIANCE_ROW = ",".join(["%.17g"] * COORD_DIM)
+# Every float is written from this template, alone or in a row of them.
+_FLOAT = "%.17g"
+_FRAME_ROW = ",".join([_FLOAT] * (LANDMARK_COUNT * COORD_DIM))
+_VARIANCE_ROW = ",".join([_FLOAT] * COORD_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +161,8 @@ def read_video_dir(path) -> list[GestureVideo]:
 
 
 def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:
+    for fname, source_id, label in entries:
+        check_names(file=fname, source_id=source_id, label=label)
     lines = [MANIFEST_HEADER]
     lines += [f"{fname},{source_id},{label}" for fname, source_id, label in entries]
     _write_lines(path, lines)
@@ -259,6 +259,8 @@ def export_plot_data(rows, files) -> None:
     for groups in files.values():
         if len(groups) != x.shape[0]:
             raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
+    for group in set().union(*files.values()):
+        check_names(group=group)
     values = [_VARIANCE_ROW % tuple(row) for row in x.tolist()]
     for path, groups in files.items():
         _write_lines(path, [PLOT_HEADER, *map("{},{}".format, values, groups)])
@@ -293,7 +295,7 @@ def _floats(text: str) -> np.ndarray:
 
 
 # How a value is written, by the parser that reads it back; the rest use str().
-_WRITERS = {float: _fmt, _floats: lambda values: ",".join(_fmt(v) for v in np.ravel(values))}
+_WRITERS = {float: _FLOAT.__mod__, _floats: lambda a: ",".join(map(_FLOAT.__mod__, np.ravel(a)))}
 
 # The model format, in file order: (key, its value in a ModelFile, parser).
 # The header keys come once, the component keys once per component.

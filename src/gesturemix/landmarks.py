@@ -44,12 +44,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_names(**names: str | None) -> None:
-    """Reject a name the text formats could not write or read back; None means
-    no name."""
+def check_names(**names: str) -> None:
+    """Reject a name that is not a string, or that the text formats could not
+    write or read back."""
     for field, name in names.items():
-        if name is None:
-            continue
+        if not isinstance(name, str):
+            raise DataError(f"{field} must be a string, got {name!r}")
         if name == "":  # an empty CSV cell reads back as no label
             raise DataError(f"{field} is empty")
         if not _NAME_BREAKERS.isdisjoint(name):
@@ -69,7 +69,9 @@ class GestureVideo:
     label: str | None = None
 
     def __post_init__(self):
-        check_names(source_id=self.source_id, label=self.label)
+        check_names(source_id=self.source_id)
+        if self.label is not None:  # the one name that may be absent
+            check_names(label=self.label)
         frames = _freeze(self.frames)
         if frames.ndim != 3 or frames.shape[1:] != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
@@ -97,7 +99,9 @@ class FeatureMatrix:
     label: str | None = None
 
     def __post_init__(self):
-        check_names(source_id=self.source_id, label=self.label)
+        check_names(source_id=self.source_id)
+        if self.label is not None:  # the one name that may be absent
+            check_names(label=self.label)
         rows = _freeze(self.rows)
         if rows.shape != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(

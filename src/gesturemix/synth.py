@@ -50,32 +50,28 @@ def _rest_pose() -> np.ndarray:
     return pose
 
 
+# The rest pose every generated video moves about; read-only.
 BASE_POSE = _rest_pose()
+BASE_POSE.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class GestureProfile:
-    """Named motion archetype: per-axis amplitudes, jitter level, rest pose."""
+    """Named motion archetype: per-axis amplitudes and jitter level."""
 
     name: str
     axis_amplitudes: np.ndarray
     noise_std: float
-    base_pose: np.ndarray
 
     def __post_init__(self):
         check_names(name=self.name)  # every video's label and part of its source id
         amps = np.array(self.axis_amplitudes, dtype=np.float64)
-        pose = np.array(self.base_pose, dtype=np.float64)
         if amps.shape != (COORD_DIM,) or not all_finite(amps) or np.any(amps < 0):
             raise DataError("axis_amplitudes must be 3 finite non-negative reals")
         if not (self.noise_std > 0 and all_finite(self.noise_std)):
             raise DataError("noise_std must be positive and finite")
-        if pose.shape != (LANDMARK_COUNT, COORD_DIM) or not all_finite(pose):
-            raise DataError(f"base_pose must be a finite {LANDMARK_COUNT}x{COORD_DIM} array")
         amps.setflags(write=False)
-        pose.setflags(write=False)
         object.__setattr__(self, "axis_amplitudes", amps)
-        object.__setattr__(self, "base_pose", pose)
 
 
 def default_profiles() -> tuple[GestureProfile, ...]:
@@ -85,7 +81,6 @@ def default_profiles() -> tuple[GestureProfile, ...]:
             name=name,
             axis_amplitudes=np.array(amps),
             noise_std=NOISE_STD,
-            base_pose=BASE_POSE,
         )
         for name, amps in PROFILE_AMPLITUDES.items()
     )
@@ -108,7 +103,7 @@ def generate_video(
     if source_id is None:
         source_id = f"{profile.name}-seed{seed}"
     return GestureVideo(
-        frames=profile.base_pose + motion + jitter,
+        frames=BASE_POSE + motion + jitter,
         source_id=source_id,
         label=profile.name,
     )

@@ -59,7 +59,7 @@ def first_vote(params, rows, stats=IDENTITY_STATS):
 
 
 class TestClusterLabelMap:
-    @pytest.mark.parametrize("label", ["", "a,b", "wa\nve"])
+    @pytest.mark.parametrize("label", ["", "a,b", "wa\nve", None])
     def test_label_the_model_file_cannot_hold_rejected(self, label):
         with pytest.raises(DataError):
             ClusterLabelMap(labels=("wave", label), confidence=(1.0, 1.0))

@@ -24,6 +24,7 @@ from gesturemix import (
 )
 from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.io import load_model, read_video, write_feature_csv, write_video
+from gesturemix.synth import PROFILE_AMPLITUDES
 
 
 def run(capsys, *argv):
@@ -706,6 +707,37 @@ def test_package_imports_only_numpy_and_the_standard_library_and_uses_them():
         if module.name != "__init__.py":
             unused = sorted(bound - used)
             assert not unused, f"{module.name} imports {unused} and does not use them"
+
+
+def test_every_private_module_level_name_is_used():
+    """A module-level name starting with _ is referenced somewhere in the package,
+    so a helper left behind by a deletion is found."""
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert modules
+    defined, used = set(), set()
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), str(module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert private
+    assert sorted(private - used) == []
+
+
+def test_one_robot_action_per_gesture_profile():
+    # the paper assigns each robot task its own gesture; a profile without an
+    # action would announce execute-task:<name>
+    assert cli.GESTURE_ACTIONS.keys() == PROFILE_AMPLITUDES.keys()
+    assert len(set(cli.GESTURE_ACTIONS.values())) == len(cli.GESTURE_ACTIONS)
 
 
 def test_cli_import_does_not_load_numpy_random(cli_env):

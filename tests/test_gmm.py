@@ -307,12 +307,16 @@ class TestMStep:
 
 
 class TestInitialize:
-    def test_k1_uses_centroid(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(50, 3))
-        params = gmm.initialize(x, EmConfig(k=1, seed=0))
-        assert np.allclose(params.means[0], x.mean(axis=0), atol=1e-12)
-        assert params.weights[0] == 1.0
+    @pytest.mark.parametrize("covariance_mode", gmm.COVARIANCE_MODES)
+    def test_k1_fit_does_not_depend_on_the_start(self, covariance_mode):
+        # every k = 1 responsibility is exactly 1, so the fit is one M-step from them
+        x = np.random.default_rng(1).normal(size=(50, 3))
+        params, resp, _ = fit(x, EmConfig(k=1, seed=0, covariance_mode=covariance_mode))
+        expected = m_step(x, np.ones((50, 1)), covariance_mode=covariance_mode)
+        assert np.array_equal(resp, np.ones((50, 1)))
+        assert np.array_equal(params.means, expected.means)
+        assert np.array_equal(params.covs, expected.covs)
+        assert np.array_equal(params.weights, expected.weights)
 
     def test_deterministic_for_fixed_seed(self):
         x = np.random.default_rng(2).normal(size=(40, 3))
@@ -542,6 +546,24 @@ class TestScreenedStarts:
         assert trace.screened[1:] == [-np.inf] * 3
         assert trace.start == 0
         assert trace.log_likelihoods == expected[2].log_likelihoods
+
+
+class TestTrace:
+    def test_n_iters_counts_the_updates_and_is_read_only(self, small_corpus):
+        x = small_corpus
+        separated = sample_mixture(np.random.default_rng(20), np.eye(3) * 4, 0.3, 100)
+        quick, screened, stopped = (
+            fit(separated, EmConfig(k=3, seed=1))[2],
+            fit(x, EmConfig(k=4, seed=0))[2],
+            fit(x, EmConfig(k=4, seed=0, max_iters=5))[2],
+        )
+        assert quick.converged and not quick.screened
+        assert screened.converged and screened.screened
+        assert not stopped.converged and stopped.n_iters == 5
+        for trace in (quick, screened, stopped):
+            assert trace.n_iters == len(trace.log_likelihoods) - 1
+            with pytest.raises(AttributeError):
+                trace.n_iters = 0
 
 
 def strand_starts(monkeypatch, seed=None):

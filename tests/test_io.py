@@ -950,6 +950,13 @@ class TestPlotExport:
             export_plot_data(np.zeros((4, 3)), files)
         assert list(tmp_path.iterdir()) == []
 
+    def test_group_the_file_cannot_hold_rejected(self, tmp_path):
+        # checked for every file before any is written
+        files = {tmp_path / "a.csv": ["a", "b"], tmp_path / "b.csv": ["a,b", "x\ny"]}
+        with pytest.raises(DataError, match="comma or line break"):
+            export_plot_data(np.zeros((2, 3)), files)
+        assert list(tmp_path.iterdir()) == []
+
     def test_each_file_holds_the_same_rows_under_its_own_groups(self, tmp_path):
         rows = [[1 / 3, -0.0, 1e-300], [2.5, 7.0, 5e-324]]
         together = {tmp_path / "before.csv": ["wave", "push"], tmp_path / "after.csv": ["x", "y"]}
@@ -984,6 +991,14 @@ class TestPlotExport:
             for f in features
         )
         assert export_hits == classify_hits
+
+
+@pytest.mark.parametrize("entry", [("b.landmarks", "b", None), ("b,c.landmarks", "b,c", "wave")])
+def test_manifest_entry_the_file_cannot_hold_rejected(tmp_path, entry):
+    path = tmp_path / "manifest.csv"
+    with pytest.raises(DataError, match="must be a string|comma or line break"):
+        write_manifest([("a.landmarks", "a", "wave"), entry], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # Each writer with two versions of a small input, 0 and 1, that write different bytes.

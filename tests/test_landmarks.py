@@ -248,16 +248,21 @@ class TestCheckMessages:
 
 
 class TestNames:
-    """Names are written into comma- and line-separated files, so they may hold neither."""
+    """Names are strings written into comma- and line-separated files, so they may
+    hold neither; only a label may be None."""
 
-    @pytest.mark.parametrize("name", ["", "a,b", "wa\nve", "wave\r", "wa\x85ve", "wave\u2028", "wa\ud800ve"])
+    @pytest.mark.parametrize(
+        "name", ["", "a,b", "wa\nve", "wave\r", "wa\x85ve", "wave\u2028", "wa\ud800ve", 5, None]
+    )
     def test_separator_in_source_id_or_label_rejected(self, name):
         with pytest.raises(DataError):
             FeatureMatrix(rows=np.zeros((21, 3)), source_id=name)
         with pytest.raises(DataError):
-            FeatureMatrix(rows=np.zeros((21, 3)), source_id="v", label=name)
-        with pytest.raises(DataError):
             make_video(np.zeros((2, 21, 3)), source_id=name)
+        if name is None:  # the one name a label may be: unlabeled
+            return
+        with pytest.raises(DataError):
+            FeatureMatrix(rows=np.zeros((21, 3)), source_id="v", label=name)
         with pytest.raises(DataError):
             make_video(np.zeros((2, 21, 3)), label=name)
 

@@ -9,7 +9,6 @@ from gesturemix import (
     generate_dataset,
     generate_video,
 )
-from gesturemix.synth import BASE_POSE
 
 
 def test_four_named_profiles():
@@ -66,7 +65,6 @@ def test_still_profile_gives_zero_features():
         name="still",
         axis_amplitudes=np.zeros(3),
         noise_std=1e-30,
-        base_pose=BASE_POSE,
     )
     video = generate_video(still, frames=50, seed=1)
     feat = compute_variances(video)
@@ -95,7 +93,6 @@ def test_motion_variance_is_half_amplitude_squared():
         name="probe",
         axis_amplitudes=np.array([0.4, 0.2, 0.1]),
         noise_std=1e-30,
-        base_pose=BASE_POSE,
     )
     feat = compute_variances(generate_video(profile, frames=150, seed=3))
     expected = profile.axis_amplitudes**2 / 2
@@ -138,13 +135,11 @@ def test_too_few_frames_rejected():
 
 def test_bad_profile_rejected():
     with pytest.raises(DataError):
-        GestureProfile(name="x", axis_amplitudes=np.array([0.1, -0.1, 0.1]),
-                       noise_std=0.1, base_pose=BASE_POSE)
+        GestureProfile(name="x", axis_amplitudes=np.array([0.1, -0.1, 0.1]), noise_std=0.1)
     with pytest.raises(DataError):
-        GestureProfile(name="x", axis_amplitudes=np.zeros(3), noise_std=0.0,
-                       base_pose=BASE_POSE)
+        GestureProfile(name="x", axis_amplitudes=np.zeros(3), noise_std=0.0)
     # a bad field fails here, naming the profile's field, not later in generate_video
-    good = dict(name="x", axis_amplitudes=np.zeros(3), noise_std=0.1, base_pose=BASE_POSE)
+    good = dict(name="x", axis_amplitudes=np.zeros(3), noise_std=0.1)
     for field, value, message in [
         ("axis_amplitudes", [np.nan, 0.0, 0.0], "axis_amplitudes"),
         ("axis_amplitudes", [np.inf, 0.0, 0.0], "axis_amplitudes"),
@@ -153,6 +148,7 @@ def test_bad_profile_rejected():
         ("name", "a,b", "comma or line break"),
         ("name", "a\nb", "comma or line break"),
         ("name", "\ud800", "UTF-8"),
+        ("name", None, "name must be a string"),
     ]:
         with pytest.raises(DataError, match=message):
             GestureProfile(**{**good, field: value})
