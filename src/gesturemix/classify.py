@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import DataError
 from .gmm import MixtureParams, e_step
-from .landmarks import FeatureMatrix, NormalizationStats, apply_normalization, check_names
+from .landmarks import (FeatureMatrix, NormalizationStats, apply_normalization, check_names,
+                        check_numbers)
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,10 @@ class ClusterLabelMap:
             raise DataError("one confidence value per cluster label required")
         if len(self.labels) < 1:
             raise DataError("label map cannot be empty")
-        if any(not (0.0 <= c <= 1.0) for c in self.confidence):
-            raise DataError("confidences must lie in [0, 1]")
+        for c in self.confidence:
+            check_numbers(float, confidence=c)
+            if not 0.0 <= c <= 1.0:
+                raise DataError("confidences must lie in [0, 1]")
         for label in self.labels:
             check_names(label=label)
         object.__setattr__(self, "distinct_labels", tuple(sorted(set(self.labels))))
@@ -73,6 +76,8 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
     assignment = np.asarray(assignment)
     if assignment.shape != (len(row_labels),):
         raise DataError(f"{assignment.shape} assignments for {len(row_labels)} row labels")
+    if not np.all((assignment >= 0) & (assignment < k)):
+        raise DataError(f"assignment holds a component outside 0..{k - 1}")
     labels = []
     confidence = []
     for comp in range(k):

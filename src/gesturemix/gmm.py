@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .landmarks import all_finite
+from .landmarks import _freeze, all_finite, as_rows, check_numbers, check_seed
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -79,9 +79,9 @@ class MixtureParams:
     log_coefs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=np.float64)
-        covs = np.array(self.covs, dtype=np.float64)
-        weights = np.array(self.weights, dtype=np.float64)
+        means = _freeze(self.means, "means")
+        covs = _freeze(self.covs, "covs")
+        weights = _freeze(self.weights, "weights")
         if means.ndim != 2 or means.shape[0] < 1:
             raise DataError(f"means must be a non-empty (K, d) array, got shape {means.shape}")
         k, d = means.shape
@@ -150,6 +150,8 @@ class EmConfig:
     covariance_mode: str = "full"
 
     def __post_init__(self):
+        check_numbers(int, k=self.k, max_iters=self.max_iters)
+        check_numbers(float, tol=self.tol, reg_eps=self.reg_eps)
         if self.k < 1:
             raise DataError("k must be at least 1")
         if self.max_iters < 1:
@@ -158,8 +160,7 @@ class EmConfig:
             raise DataError("tol must be positive and finite")
         if not 0 <= self.reg_eps < np.inf:
             raise DataError("reg_eps must be non-negative and finite")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise DataError("seed must be non-negative")
+        check_seed(self.seed)
         if self.covariance_mode not in COVARIANCE_MODES:
             raise DataError(f"unknown covariance_mode {self.covariance_mode!r}")
 
@@ -190,20 +191,6 @@ class EmTrace:
     def reseeds(self) -> list[int]:
         """The starts abandoned for a fresh one because they failed numerically."""
         return [start for start, ll in enumerate(self.screened) if ll == -np.inf]
-
-
-def _as_data(data, k: int = 1) -> np.ndarray:
-    """Data as a checked (N, d) float array with N >= k points."""
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"data must be an (N, d) array, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise DataError("empty data")
-    if x.shape[0] < k:
-        raise DataError(f"need at least k={k} data points, got {x.shape[0]}")
-    if not all_finite(x):
-        raise DataError("non-finite data point")
-    return x
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -242,13 +229,13 @@ def _posteriors(xt: np.ndarray, params: MixtureParams, work=_NO_WORK):
 
 def log_likelihood(data, params: MixtureParams) -> float:
     """L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k), via log-sum-exp."""
-    _, log_norm = _posteriors(_columns(_as_data(data)), params)
+    _, log_norm = _posteriors(_columns(as_rows(data, width=params.means.shape[1])), params)
     return float(np.sum(log_norm))
 
 
 def e_step(data, params: MixtureParams) -> np.ndarray:
     """Responsibility matrix r_nk, shape (N, K); each row sums to 1."""
-    resp, _ = _posteriors(_columns(_as_data(data)), params)
+    resp, _ = _posteriors(_columns(as_rows(data, width=params.means.shape[1])), params)
     return resp.T
 
 
@@ -301,7 +288,7 @@ def _seed_means(x: np.ndarray, k: int, rng: "np.random.Generator") -> np.ndarray
 
 def initialize(data, config: EmConfig) -> MixtureParams:
     """Seeded starting parameters: k-means++ means, global covariance, uniform weights."""
-    x = _as_data(data, config.k)
+    x = as_rows(data, config.k)
     means = _seed_means(x, config.k, np.random.default_rng(config.seed))
     cov = _global_cov(x, config.reg_eps, config.covariance_mode)
     covs = np.broadcast_to(cov, (config.k, *cov.shape))
@@ -368,7 +355,7 @@ def fit(data, config: EmConfig):
     Returns (MixtureParams, responsibility matrix, EmTrace); the responsibilities
     correspond to the returned parameters.
     """
-    x = _as_data(data, config.k)  # before anything sized by K exists
+    x = as_rows(data, config.k)  # before anything sized by K exists
     xt = _columns(x)
     n, d = x.shape
     work = (np.empty((config.k, d, n)), np.empty((config.k, d, n)))

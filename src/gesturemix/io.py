@@ -25,7 +25,7 @@ from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
 from .gmm import EmConfig, MixtureParams
 from .landmarks import (COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo,
-                        NormalizationStats, check_names)
+                        NormalizationStats, as_rows, check_names, check_numbers)
 from .parallel import fan_out
 
 VIDEO_MAGIC = "gesture-landmarks v1"
@@ -252,9 +252,7 @@ def export_plot_data(rows, files) -> None:
     """Columnar var_x,var_y,var_z,group files for external plotting tools: the
     same rows in each file, grouped by the `files[path]` entry for each row.
     The rows are formatted once for all the files."""
-    x = np.asarray(rows, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != COORD_DIM:
-        raise DataError(f"plot rows must be (M, {COORD_DIM}), got {x.shape}")
+    x = as_rows(rows, 0, COORD_DIM)
     files = {path: list(groups) for path, groups in files.items()}
     for groups in files.values():
         if len(groups) != x.shape[0]:
@@ -288,6 +286,9 @@ class ModelFile:
                 f"k={self.config.k} but the mixture has {self.params.k} components "
                 f"and the label map {self.label_map.k}"
             )
+        check_numbers(int, iterations=self.iterations)
+        if self.iterations < 0:
+            raise DataError("iterations must be non-negative")
 
 
 def _floats(text: str) -> np.ndarray:

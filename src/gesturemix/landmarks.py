@@ -6,6 +6,7 @@ of per-landmark coordinate variances; those rows are the data points every
 downstream model consumes.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,48 @@ _sum = np.add.reduce
 
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of a float array is finite; the finiteness check of
-    every type here and of the mixture's data."""
+    every type here and of `as_rows`."""
     return bool(_all(np.isfinite(a), axis=None))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+def as_rows(data, k: int = 1, width: int | None = None) -> np.ndarray:
+    """Rows of data as a checked (N, d) float array: at least k rows, `width`
+    columns when given, every value finite. The one check on rows of data of
+    the mixture, the normalization, the silhouette and the plot export."""
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 2 or width not in (None, x.shape[1]):
+        raise DataError(f"data must be an (N, {width or 'd'}) array, got shape {x.shape}")
+    if len(x) < k:
+        raise DataError(f"need at least k={k} data points, got {len(x)}" if len(x) else "empty data")
+    if not all_finite(x):
+        raise DataError("non-finite data point")
+    return x
+
+
+def _freeze(a, field: str) -> np.ndarray:
+    """`a` as a read-only float array; a value numpy cannot read as floats is a DataError."""
+    try:
+        out = np.array(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{field} must be an array of real numbers") from exc
     out.setflags(write=False)
     return out
+
+
+def check_numbers(kind, **values) -> None:
+    """Reject a value that is not of `kind`: int, any integer numpy's included,
+    or float, any real number. A bool, None or string is neither, 2.5 no int."""
+    abc, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a real number")
+    for field, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, abc):
+            raise DataError(f"{field} must be {noun}, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed numpy's generators cannot take: only non-negative integers."""
+    check_numbers(int, seed=seed)
+    if seed < 0:
+        raise DataError("seed must be non-negative")
 
 
 def check_names(**names: str) -> None:
@@ -72,7 +107,7 @@ class GestureVideo:
         check_names(source_id=self.source_id)
         if self.label is not None:  # the one name that may be absent
             check_names(label=self.label)
-        frames = _freeze(self.frames)
+        frames = _freeze(self.frames, "frames")
         if frames.ndim != 3 or frames.shape[1:] != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
                 f"frames must have shape (F, {LANDMARK_COUNT}, {COORD_DIM}), "
@@ -102,7 +137,7 @@ class FeatureMatrix:
         check_names(source_id=self.source_id)
         if self.label is not None:  # the one name that may be absent
             check_names(label=self.label)
-        rows = _freeze(self.rows)
+        rows = _freeze(self.rows, "rows")
         if rows.shape != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
                 f"feature matrix must be {LANDMARK_COUNT}x{COORD_DIM}, got {rows.shape}"
@@ -122,8 +157,8 @@ class NormalizationStats:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = _freeze(self.mean)
-        std = _freeze(self.std)
+        mean = _freeze(self.mean, "mean")
+        std = _freeze(self.std, "std")
         if mean.shape != (COORD_DIM,) or std.shape != (COORD_DIM,):
             raise DataError("normalization stats must hold 3 means and 3 stds")
         if not (all_finite(mean) and all_finite(std)):
@@ -166,9 +201,7 @@ def compute_variances(video: GestureVideo) -> FeatureMatrix:
 
 def fit_normalization(rows) -> NormalizationStats:
     """Column mean/std of stacked (N, 3) feature rows, std floored at STD_FLOOR."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != COORD_DIM or rows.shape[0] == 0:
-        raise DataError(f"normalization needs non-empty (N, {COORD_DIM}) rows, got {rows.shape}")
+    rows = as_rows(rows, width=COORD_DIM)
     mean = rows.mean(axis=0)
     std = np.maximum(rows.std(axis=0), STD_FLOOR)
     return NormalizationStats(mean=mean, std=std)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .landmarks import all_finite
+from .landmarks import as_rows
 from .parallel import fan_out
 
 # Bytes of each of the two (B, N) buffers, the distance block and its scratch:
@@ -44,10 +44,8 @@ def silhouette(data, assignment) -> SilhouetteReport:
     widely spread for its largest squared distance to be finite, so accepted
     data scores without a floating-point warning in any process.
     """
-    x = np.asarray(data, dtype=np.float64)
+    x = as_rows(data)
     labels = np.asarray(assignment)
-    if x.ndim != 2:
-        raise DataError("data must be an (N, d) array")
     n = x.shape[0]
     if labels.shape != (n,):
         raise DataError("one cluster index per data point required")
@@ -56,8 +54,6 @@ def silhouette(data, assignment) -> SilhouetteReport:
     clusters, index = np.unique(labels, return_inverse=True)
     if clusters.size < 2:
         raise DataError("silhouette needs at least 2 distinct clusters")
-    if not all_finite(x):
-        raise DataError("silhouette data holds NaN or an infinite value")
     # Rounding is monotone, so no squared distance exceeds the column spans'
     # squares added in score_block's order; a finite bound keeps every
     # difference, square, sum, a, b and b - a there finite.

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .landmarks import COORD_DIM, LANDMARK_COUNT, GestureVideo, all_finite, check_names
+from .landmarks import (COORD_DIM, LANDMARK_COUNT, GestureVideo, _freeze, all_finite,
+                        check_names, check_numbers, check_seed)
 
 # Full sinusoid cycles per video; integral so the motion variance is exact.
 MOTION_CYCLES = 3
@@ -65,12 +66,12 @@ class GestureProfile:
 
     def __post_init__(self):
         check_names(name=self.name)  # every video's label and part of its source id
-        amps = np.array(self.axis_amplitudes, dtype=np.float64)
+        amps = _freeze(self.axis_amplitudes, "axis_amplitudes")
         if amps.shape != (COORD_DIM,) or not all_finite(amps) or np.any(amps < 0):
             raise DataError("axis_amplitudes must be 3 finite non-negative reals")
+        check_numbers(float, noise_std=self.noise_std)
         if not (self.noise_std > 0 and all_finite(self.noise_std)):
             raise DataError("noise_std must be positive and finite")
-        amps.setflags(write=False)
         object.__setattr__(self, "axis_amplitudes", amps)
 
 
@@ -93,8 +94,10 @@ def generate_video(
     source_id: str | None = None,
 ) -> GestureVideo:
     """One synthetic video: sinusoidal landmark motion plus jitter, seeded."""
+    check_numbers(int, frames=frames)
     if frames < 2:
         raise DataError("a video needs at least 2 frames")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(LANDMARK_COUNT, COORD_DIM))
     angle = 2.0 * np.pi * MOTION_CYCLES * np.arange(frames) / frames
@@ -116,8 +119,10 @@ def generate_dataset(
     seed: int = 0,
 ) -> list[GestureVideo]:
     """Deterministic labeled corpus; video j's seed derives from (master seed, j) only."""
+    check_numbers(int, videos_per_profile=videos_per_profile)
     if videos_per_profile < 1:
         raise DataError("videos_per_profile must be at least 1")
+    check_seed(seed)
     total = len(profiles) * videos_per_profile
     children = np.random.SeedSequence(seed).spawn(total)
     videos = []

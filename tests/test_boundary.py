@@ -1,0 +1,62 @@
+"""The library boundary: a public type given a field value it cannot hold
+raises a GestureMixError, never another exception."""
+
+import dataclasses
+import numbers
+
+import numpy as np
+
+import gesturemix
+from gesturemix import (
+    ClusterLabelMap,
+    EmConfig,
+    FeatureMatrix,
+    GestureMixError,
+    GestureProfile,
+    GestureVideo,
+    MixtureParams,
+    NormalizationStats,
+)
+
+# One valid instance of each public type that checks its fields.
+VALID = [
+    ClusterLabelMap(labels=("wave", "pick"), confidence=(1.0, 0.5)),
+    EmConfig(k=2),
+    FeatureMatrix(rows=np.ones((21, 3)), source_id="f"),
+    GestureProfile(name="wave", axis_amplitudes=np.ones(3), noise_std=0.1),
+    GestureVideo(frames=np.zeros((2, 21, 3)), source_id="v"),
+    MixtureParams(means=np.zeros((2, 3)), covs=[np.eye(3)] * 2, weights=[0.5, 0.5]),
+    NormalizationStats(mean=np.zeros(3), std=np.ones(3)),
+]
+
+
+def replacements():
+    """(instance, field, bad value): each numeric or array field of each valid
+    instance in turn, set to None or "x", and an integer field also to 2.5; a
+    tuple of numbers has its last element replaced."""
+    for valid in VALID:
+        for field in dataclasses.fields(valid):
+            value = getattr(valid, field.name)
+            element = value[-1] if isinstance(value, tuple) else value
+            if not field.init or not isinstance(element, (numbers.Number, np.ndarray)):
+                continue
+            for bad in [None, "x"] + [2.5] * isinstance(element, numbers.Integral):
+                yield valid, field.name, (*value[:-1], bad) if isinstance(value, tuple) else bad
+
+
+def test_a_bad_field_builds_or_is_a_package_error():
+    validating = {
+        obj for obj in map(gesturemix.__dict__.get, gesturemix.__all__)
+        if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")
+    }
+    assert validating == {type(valid) for valid in VALID}
+    escaped = []
+    for valid, field, bad in replacements():
+        kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
+        try:
+            type(valid)(**{**kwargs, field: bad})
+        except GestureMixError:
+            pass
+        except Exception as exc:  # any other type escapes the package's errors
+            escaped.append(f"{type(valid).__name__}({field}={bad!r}): {exc!r}")
+    assert escaped == []

@@ -64,6 +64,10 @@ class TestClusterLabelMap:
         with pytest.raises(DataError):
             ClusterLabelMap(labels=("wave", label), confidence=(1.0, 1.0))
 
+    @pytest.mark.parametrize("confidence", [None, "0.5", True])
+    def test_confidence_that_is_not_a_number_rejected(self, confidence):
+        with pytest.raises(DataError, match="^confidence must be a real number"):
+            ClusterLabelMap(labels=("wave", "pick"), confidence=(1.0, confidence))
 
     def test_distinct_labels_belong_to_their_own_map(self):
         maps = [
@@ -155,6 +159,11 @@ class TestBuildLabelMap:
     def test_empty_cluster_rejected(self):
         with pytest.raises(DataError):
             build_label_map(*rows_of((0, "pick", 21), (1, "wave", 21)), 3)
+
+    @pytest.mark.parametrize("assignment", [[0, 1, 2], [-1, 0, 1]])
+    def test_component_outside_k_rejected(self, assignment):
+        with pytest.raises(DataError, match=r"outside 0\.\.1"):
+            build_label_map(assignment, ["a", "b", "c"], 2)
 
 
 class TestClassifyVideo:

@@ -651,6 +651,12 @@ class TestValidation:
         with pytest.raises(DataError, match=r"^non-finite component parameters$"):
             mixture([np.zeros(3), np.array([0.0, bad, 0.0])], [np.eye(3)] * 2)
 
+    def test_data_of_the_wrong_width_rejected(self):
+        params = mixture([np.zeros(3)] * 2, [np.eye(3)] * 2)
+        for call in (e_step, log_likelihood):
+            with pytest.raises(DataError, match=r"^data must be an \(N, 3\) array, got shape \(5, 2\)$"):
+                call(np.zeros((5, 2)), params)
+
     def test_vanished_density_is_numerical_error(self):
         params = mixture([np.zeros(3)] * 2, [np.eye(3)] * 2)
         far = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])  # squared distance overflows
@@ -678,6 +684,12 @@ class TestValidation:
             dict(k=2, tol=float("nan")),
             dict(k=2, reg_eps=float("inf")),
             dict(k=2, seed=-1),
+            dict(k=None),
+            dict(k=2.5),
+            dict(k=True),
+            dict(k=2, max_iters=2.5),
+            dict(k=2, seed=1.5),
+            dict(k=2, tol=None),
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -639,6 +639,12 @@ class TestModelFormat:
         with pytest.raises(DataError, match="k=3"):
             replace(SMALL_MODEL, config=EmConfig(k=3))
 
+    @pytest.mark.parametrize("iterations", [2.5, -1, None, True])
+    def test_iterations_not_a_non_negative_integer_rejected(self, iterations):
+        # load_model would refuse what save_model wrote for any of these
+        with pytest.raises(DataError, match="^iterations must be"):
+            replace(SMALL_MODEL, iterations=iterations)
+
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(text=one_line_mutations())
     def test_one_line_mutation_loads_or_is_a_format_error(self, text, scratch_model_path):
@@ -942,6 +948,12 @@ class TestPlotExport:
         path = tmp_path / "plot.csv"
         export_plot_data(np.zeros((0, 3)), {path: []})
         assert path.read_text() == "var_x,var_y,var_z,group\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, tmp_path, bad):
+        with pytest.raises(DataError, match="^non-finite data point$"):
+            export_plot_data([[0.0, bad, 0.0]], {tmp_path / "a.csv": ["a"]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_length_mismatch_rejected(self, tmp_path):
         # checked for every file before any is written

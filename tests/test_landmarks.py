@@ -176,6 +176,18 @@ class TestFitNormalization:
             with pytest.raises(DataError):
                 fit_normalization(empty)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_as_data(self, bad):
+        # rows whose statistics merely overflow still fail NormalizationStats
+        rows = np.ones((21, 3))
+        rows[4, 2] = bad
+        with pytest.raises(DataError, match="^non-finite data point$"):
+            fit_normalization(rows)
+
+    def test_rows_of_the_wrong_width_rejected(self):
+        with pytest.raises(DataError, match=r"^data must be an \(N, 3\) array, got shape \(21, 2\)$"):
+            fit_normalization(np.ones((21, 2)))
+
 
 class TestApplyNormalization:
     def test_column_mean_maps_to_zero(self):

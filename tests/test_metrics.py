@@ -106,6 +106,11 @@ def test_single_cluster_rejected():
         silhouette(np.random.default_rng(1).normal(size=(10, 3)), np.zeros(10, dtype=int))
 
 
+def test_non_finite_data_rejected_before_clusters_are_counted():
+    with pytest.raises(DataError, match="^non-finite data point$"):
+        silhouette([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]], np.zeros(3, dtype=int))
+
+
 def test_too_few_points_rejected():
     with pytest.raises(DataError):
         silhouette(np.zeros((2, 3)), np.array([0, 1]))
@@ -207,9 +212,9 @@ class TestProcesses:
         assert_no_child_left()
 
     @pytest.mark.parametrize(("far", "reason"), [
-        (np.nan, "NaN or an infinite value"),
-        (np.inf, "NaN or an infinite value"),
-        (-np.inf, "NaN or an infinite value"),
+        (np.nan, "non-finite data point"),
+        (np.inf, "non-finite data point"),
+        (-np.inf, "non-finite data point"),
         (1e200, "too wide a range"),
         (1e154, "too wide a range"),
     ])

@@ -144,6 +144,8 @@ def test_bad_profile_rejected():
         ("axis_amplitudes", [np.nan, 0.0, 0.0], "axis_amplitudes"),
         ("axis_amplitudes", [np.inf, 0.0, 0.0], "axis_amplitudes"),
         ("noise_std", np.inf, "noise_std"),
+        ("noise_std", None, "noise_std must be a real number"),
+        ("noise_std", "0.19", "noise_std must be a real number"),
         ("name", "", "name is empty"),
         ("name", "a,b", "comma or line break"),
         ("name", "a\nb", "comma or line break"),
@@ -183,6 +185,25 @@ class TestGenerateDataset:
     def test_videos_per_profile_validated(self):
         with pytest.raises(DataError):
             generate_dataset(default_profiles(), videos_per_profile=0, frames=10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_validated_before_anything_is_drawn(self, monkeypatch, seed):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew from a bad seed")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        monkeypatch.setattr(np.random, "SeedSequence", draw)
+        with pytest.raises(DataError, match="^seed must be"):
+            generate_video(default_profiles()[0], frames=10, seed=seed)
+        with pytest.raises(DataError, match="^seed must be"):
+            generate_dataset(default_profiles(), videos_per_profile=1, frames=10, seed=seed)
+
+    @pytest.mark.parametrize("count", [None, 2.5, "3", True])
+    def test_counts_must_be_integers(self, count):
+        with pytest.raises(DataError, match="^frames must be an integer"):
+            generate_video(default_profiles()[0], frames=count)
+        with pytest.raises(DataError, match="^videos_per_profile must be an integer"):
+            generate_dataset(default_profiles(), videos_per_profile=count, frames=10)
 
     def test_source_ids_are_unique_and_labeled(self):
         videos = generate_dataset(default_profiles(), videos_per_profile=3, frames=10, seed=0)
