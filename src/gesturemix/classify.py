@@ -32,6 +32,11 @@ class ClusterLabelMap:
     distinct_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("labels", "confidence"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise DataError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         if len(self.labels) != len(self.confidence):
             raise DataError("one confidence value per cluster label required")
         if len(self.labels) < 1:
@@ -73,7 +78,10 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
     responsibilities) and `row_labels[i]` its gesture. A component that owns no
     rows is degenerate and rejected.
     """
+    check_numbers(int, 1, k=k)
     assignment = np.asarray(assignment)
+    if assignment.dtype.kind not in "iu":
+        raise DataError(f"assignment must hold integer component indices, got {assignment.dtype}")
     if assignment.shape != (len(row_labels),):
         raise DataError(f"{assignment.shape} assignments for {len(row_labels)} row labels")
     if not np.all((assignment >= 0) & (assignment < k)):
@@ -88,7 +96,7 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
         best_label = _majority(tally)
         labels.append(best_label)
         confidence.append(tally[best_label] / len(owned))
-    return ClusterLabelMap(labels=tuple(labels), confidence=tuple(confidence))
+    return ClusterLabelMap(labels=labels, confidence=confidence)
 
 
 def classify_video(

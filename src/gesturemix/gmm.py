@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .landmarks import _freeze, all_finite, as_rows, check_numbers, check_seed
+from .landmarks import _freeze, all_finite, as_rows, check_numbers
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -150,17 +150,13 @@ class EmConfig:
     covariance_mode: str = "full"
 
     def __post_init__(self):
-        check_numbers(int, k=self.k, max_iters=self.max_iters)
+        check_numbers(int, 1, k=self.k, max_iters=self.max_iters)
         check_numbers(float, tol=self.tol, reg_eps=self.reg_eps)
-        if self.k < 1:
-            raise DataError("k must be at least 1")
-        if self.max_iters < 1:
-            raise DataError("max_iters must be at least 1")
         if not 0 < self.tol < np.inf:  # NaN fails every comparison
             raise DataError("tol must be positive and finite")
         if not 0 <= self.reg_eps < np.inf:
             raise DataError("reg_eps must be non-negative and finite")
-        check_seed(self.seed)
+        check_numbers(int, 0, seed=self.seed)  # numpy's generators take no negative seed
         if self.covariance_mode not in COVARIANCE_MODES:
             raise DataError(f"unknown covariance_mode {self.covariance_mode!r}")
 

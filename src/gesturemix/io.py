@@ -286,9 +286,9 @@ class ModelFile:
                 f"k={self.config.k} but the mixture has {self.params.k} components "
                 f"and the label map {self.label_map.k}"
             )
-        check_numbers(int, iterations=self.iterations)
-        if self.iterations < 0:
-            raise DataError("iterations must be non-negative")
+        check_numbers(int, 0, iterations=self.iterations)
+        check_numbers(float, final_log_likelihood=self.final_log_likelihood,
+                      silhouette=self.silhouette)
 
 
 def _floats(text: str) -> np.ndarray:
@@ -395,9 +395,9 @@ def load_model(path) -> ModelFile:
         weights=head["weights"],
     ), "weights/components")
     label_map = _checked(path, lambda: ClusterLabelMap(
-        labels=tuple(stacked("label")), confidence=tuple(stacked("confidence"))
+        labels=stacked("label"), confidence=stacked("confidence")
     ), "components")
-    return ModelFile(
+    return _checked(path, lambda: ModelFile(
         config=config,
         params=params,
         stats=stats,
@@ -405,4 +405,4 @@ def load_model(path) -> ModelFile:
         iterations=head["iterations"],
         final_log_likelihood=head["final_log_likelihood"],
         silhouette=head["silhouette"],
-    )
+    ), "iterations")

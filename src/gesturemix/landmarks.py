@@ -63,20 +63,16 @@ def _freeze(a, field: str) -> np.ndarray:
     return out
 
 
-def check_numbers(kind, **values) -> None:
+def check_numbers(kind, minimum=None, **values) -> None:
     """Reject a value that is not of `kind`: int, any integer numpy's included,
-    or float, any real number. A bool, None or string is neither, 2.5 no int."""
+    or float, any real number. A bool, None or string is neither, 2.5 no int.
+    A `minimum`, when given, is the least value each may take."""
     abc, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a real number")
     for field, value in values.items():
         if isinstance(value, bool) or not isinstance(value, abc):
             raise DataError(f"{field} must be {noun}, got {value!r}")
-
-
-def check_seed(seed) -> None:
-    """Reject a seed numpy's generators cannot take: only non-negative integers."""
-    check_numbers(int, seed=seed)
-    if seed < 0:
-        raise DataError("seed must be non-negative")
+        if minimum is not None and value < minimum:
+            raise DataError(f"{field} must be at least {minimum}")
 
 
 def check_names(**names: str) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .landmarks import (COORD_DIM, LANDMARK_COUNT, GestureVideo, _freeze, all_finite,
-                        check_names, check_numbers, check_seed)
+                        check_names, check_numbers)
 
 # Full sinusoid cycles per video; integral so the motion variance is exact.
 MOTION_CYCLES = 3
@@ -94,10 +94,8 @@ def generate_video(
     source_id: str | None = None,
 ) -> GestureVideo:
     """One synthetic video: sinusoidal landmark motion plus jitter, seeded."""
-    check_numbers(int, frames=frames)
-    if frames < 2:
-        raise DataError("a video needs at least 2 frames")
-    check_seed(seed)
+    check_numbers(int, 2, frames=frames)
+    check_numbers(int, 0, seed=seed)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(LANDMARK_COUNT, COORD_DIM))
     angle = 2.0 * np.pi * MOTION_CYCLES * np.arange(frames) / frames
@@ -119,10 +117,8 @@ def generate_dataset(
     seed: int = 0,
 ) -> list[GestureVideo]:
     """Deterministic labeled corpus; video j's seed derives from (master seed, j) only."""
-    check_numbers(int, videos_per_profile=videos_per_profile)
-    if videos_per_profile < 1:
-        raise DataError("videos_per_profile must be at least 1")
-    check_seed(seed)
+    check_numbers(int, 1, videos_per_profile=videos_per_profile)
+    check_numbers(int, 0, seed=seed)
     total = len(profiles) * videos_per_profile
     children = np.random.SeedSequence(seed).spawn(total)
     videos = []

@@ -64,6 +64,22 @@ class TestClusterLabelMap:
         with pytest.raises(DataError):
             ClusterLabelMap(labels=("wave", label), confidence=(1.0, 1.0))
 
+    @pytest.mark.parametrize(("labels", "confidence", "message"), [
+        (None, (1.0,), "^labels must be a sequence, got None$"),
+        (("wave",), None, "^confidence must be a sequence, got None$"),
+        (("wave",), 1.0, "^confidence must be a sequence, got 1.0$"),
+        (("wave", "pick"), (1.0,), "^one confidence value per cluster label required$"),
+        ((), (), "^label map cannot be empty$"),
+    ])
+    def test_fields_that_cannot_form_a_map_rejected(self, labels, confidence, message):
+        with pytest.raises(DataError, match=message):
+            ClusterLabelMap(labels=labels, confidence=confidence)
+
+    def test_sequences_are_held_as_tuples(self):
+        label_map = ClusterLabelMap(labels=["wave", "pick"], confidence=np.array([1.0, 0.5]))
+        assert label_map == ClusterLabelMap(labels=("wave", "pick"), confidence=(1.0, 0.5))
+        assert type(label_map.labels) is type(label_map.confidence) is tuple
+
     @pytest.mark.parametrize("confidence", [None, "0.5", True])
     def test_confidence_that_is_not_a_number_rejected(self, confidence):
         with pytest.raises(DataError, match="^confidence must be a real number"):
@@ -164,6 +180,26 @@ class TestBuildLabelMap:
     def test_component_outside_k_rejected(self, assignment):
         with pytest.raises(DataError, match=r"outside 0\.\.1"):
             build_label_map(assignment, ["a", "b", "c"], 2)
+
+    @pytest.mark.parametrize(("assignment", "message"), [
+        (["a", "b"], "^assignment must hold integer component indices, got <U1$"),
+        ([0.5, 1.0], "^assignment must hold integer component indices, got float64$"),
+        ([0.0, 1.0], "^assignment must hold integer component indices, got float64$"),
+        ([True, False], "^assignment must hold integer component indices, got bool$"),
+        ([[0, 1]], r"^\(1, 2\) assignments for 2 row labels$"),
+    ])
+    def test_assignment_that_is_not_one_index_per_row_rejected(self, assignment, message):
+        with pytest.raises(DataError, match=message):
+            build_label_map(assignment, ["a", "b"], 2)
+
+    @pytest.mark.parametrize(("k", "message"), [
+        (2.5, "^k must be an integer, got 2.5$"),
+        (None, "^k must be an integer, got None$"),
+        (0, "^k must be at least 1$"),
+    ])
+    def test_k_that_is_not_a_positive_integer_rejected(self, k, message):
+        with pytest.raises(DataError, match=message):
+            build_label_map([0, 1], ["a", "b"], k)
 
 
 class TestClassifyVideo:

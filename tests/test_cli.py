@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import inspect
 import io
 import subprocess
 import sys
@@ -119,11 +120,12 @@ class TestSynth:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_bad_frames_flag_touches_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(("flag", "value"), [("--frames", "1"), ("--videos-per-profile", "0")])
+    def test_bad_frames_flag_touches_nothing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "never"
-        code, _, stderr = run(capsys, "synth", "--output", str(out), "--frames", "1")
+        code, _, stderr = run(capsys, "synth", "--output", str(out), flag, value)
         assert code == 1
-        assert "frames" in stderr
+        assert flag in stderr
         assert not out.exists()
 
     def test_impossible_allocation_is_data_error(self, tmp_path, capsys):
@@ -378,6 +380,13 @@ class TestTrain:
             seed=args.seed, covariance_mode=args.cov_mode,
         )
         assert flags == EmConfig(k=1)
+
+    def test_synth_flag_defaults_are_the_generator_defaults(self):
+        # README: synth's defaults reproduce the reference experiment
+        args = cli.build_parser().parse_args(["synth"])
+        defaults = inspect.signature(generate_dataset).parameters
+        for name in ("videos_per_profile", "frames", "seed"):
+            assert getattr(args, name) == defaults[name].default
 
     @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_every_covariance_mode_trains(self, tmp_path, capsys, mode):

@@ -513,7 +513,7 @@ def one_line_mutations(draw):
     elif kind == "duplicate":
         lines.insert(at, lines[at])
     else:
-        token = draw(st.sampled_from(("nan", "inf", "-inf", "x", "")))
+        token = draw(st.sampled_from(("nan", "inf", "-inf", "x", "", "-1")))
         key, sep, value = lines[at].partition("=")
         if kind == "cell" and sep:
             cells = value.split(",")
@@ -644,6 +644,20 @@ class TestModelFormat:
         # load_model would refuse what save_model wrote for any of these
         with pytest.raises(DataError, match="^iterations must be"):
             replace(SMALL_MODEL, iterations=iterations)
+
+    @pytest.mark.parametrize("value", [None, "x", True])
+    @pytest.mark.parametrize("field", ["final_log_likelihood", "silhouette"])
+    def test_outcome_that_is_not_a_real_number_rejected(self, field, value):
+        # save_model could not format any of these
+        with pytest.raises(DataError, match=f"^{field} must be a real number"):
+            replace(SMALL_MODEL, **{field: value})
+
+    def test_negative_iterations_is_a_format_error_naming_its_field(self, tmp_path):
+        path = tmp_path / "m.gmm"
+        path.write_text(SMALL_MODEL_TEXT.replace("iterations=7", "iterations=-1"))
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: iterations must be at least 0 (field: iterations)"
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(text=one_line_mutations())

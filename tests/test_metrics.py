@@ -116,6 +116,12 @@ def test_too_few_points_rejected():
         silhouette(np.zeros((2, 3)), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("assignment", [[0, 1], [0, 1, 0, 1], [[0, 1, 0]]])
+def test_assignment_of_the_wrong_shape_rejected(assignment):
+    with pytest.raises(DataError, match="^one cluster index per data point required$"):
+        silhouette(np.arange(9.0).reshape(3, 3), assignment)
+
+
 def test_memory_stays_linear_in_rows():
     # an N x N x 3 difference buffer at N=3000 would take over 200 MiB
     rng = np.random.default_rng(3)
