@@ -6,15 +6,15 @@ mapped components collect the most votes.
 """
 
 from collections import Counter
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .gmm import MixtureParams, e_step
-from .landmarks import (FeatureMatrix, NormalizationStats, apply_normalization, check_names,
-                        check_numbers)
+from .landmarks import (FeatureMatrix, NormalizationStats, apply_normalization, as_assignment,
+                        check_names, check_numbers)
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,14 @@ class ClusterLabelMap:
     distinct_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("labels", "confidence"):
+        for name, value in (("labels", self.labels), ("confidence", self.confidence)):
             try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                # a string, set or mapping iterates, but not as one entry per component
+                if isinstance(value, (str, bytes, Set, Mapping)):
+                    raise TypeError
+                object.__setattr__(self, name, tuple(value))
             except TypeError:
-                raise DataError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
+                raise DataError(f"{name} must be a sequence, got {value!r}") from None
         if len(self.labels) != len(self.confidence):
             raise DataError("one confidence value per cluster label required")
         if len(self.labels) < 1:
@@ -79,11 +82,7 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
     rows is degenerate and rejected.
     """
     check_numbers(int, 1, k=k)
-    assignment = np.asarray(assignment)
-    if assignment.dtype.kind not in "iu":
-        raise DataError(f"assignment must hold integer component indices, got {assignment.dtype}")
-    if assignment.shape != (len(row_labels),):
-        raise DataError(f"{assignment.shape} assignments for {len(row_labels)} row labels")
+    assignment = as_assignment(assignment, len(row_labels))
     if not np.all((assignment >= 0) & (assignment < k)):
         raise DataError(f"assignment holds a component outside 0..{k - 1}")
     labels = []

@@ -235,10 +235,10 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
     return resp.T
 
 
-def _m_step(xt, r, mass, reg_eps, covariance_mode, work=_NO_WORK) -> MixtureParams:
+def _m_step(xt, r, mass, reg_eps, covariance_mode, work) -> MixtureParams:
     """Closed-form re-estimation from points as columns xt (d, N), responsibilities
     r (K, N) and their row sums `mass`, each at least EMPTY_COMPONENT_MASS (as
-    `_Run._e_step` checks); `work` as in `_posteriors`."""
+    `_Run._e_step` checks); `work` is the (K, d, N) pair of `_posteriors`."""
     d, n = xt.shape
     weights = mass / n
     weights = weights / weights.sum()

@@ -139,17 +139,6 @@ def _parse_video(path: Path) -> tuple[str, str | None, np.ndarray]:
     return source_id, label, np.array(values).reshape(-1, LANDMARK_COUNT, COORD_DIM)
 
 
-def _video(path: Path, parsed) -> GestureVideo:
-    source_id, label, frames = parsed
-    # GestureVideo looked up when called, so a wrapper set on this module sees it
-    return _checked(path, lambda: GestureVideo(frames=frames, source_id=source_id, label=label))
-
-
-def read_video(path) -> GestureVideo:
-    path = Path(path)
-    return _video(path, _parse_video(path))
-
-
 def read_video_dir(path) -> list[GestureVideo]:
     """All *.landmarks files under a directory, in sorted filename order. The
     files are parsed on every usable CPU; the videos are built here."""
@@ -157,7 +146,9 @@ def read_video_dir(path) -> list[GestureVideo]:
     files = sorted(path.glob("*.landmarks"))
     if not files:
         raise DataError(f"no *.landmarks files in {path}")
-    return [_video(f, parsed) for f, parsed in zip(files, fan_out(_parse_video, files))]
+    # GestureVideo looked up when called, so a wrapper set on this module sees it
+    return [_checked(f, lambda: GestureVideo(frames=frames, source_id=sid, label=label))
+            for f, (sid, label, frames) in zip(files, fan_out(_parse_video, files))]
 
 
 def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:

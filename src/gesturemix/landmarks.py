@@ -53,6 +53,17 @@ def as_rows(data, k: int = 1, width: int | None = None) -> np.ndarray:
     return x
 
 
+def as_assignment(assignment, n: int) -> np.ndarray:
+    """A hard cluster assignment as a checked (n,) integer array, one component
+    index per row: the one check of the label map's and the silhouette's."""
+    a = np.asarray(assignment)
+    if a.dtype.kind not in "iu":
+        raise DataError(f"assignment must hold integer component indices, got {a.dtype}")
+    if a.shape != (n,):
+        raise DataError(f"one component index per row required, got shape {a.shape} for {n} rows")
+    return a
+
+
 def _freeze(a, field: str) -> np.ndarray:
     """`a` as a read-only float array; a value numpy cannot read as floats is a DataError."""
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .landmarks import as_rows
+from .landmarks import as_assignment, as_rows
 from .parallel import fan_out
 
 # Bytes of each of the two (B, N) buffers, the distance block and its scratch:
@@ -45,10 +45,8 @@ def silhouette(data, assignment) -> SilhouetteReport:
     data scores without a floating-point warning in any process.
     """
     x = as_rows(data)
-    labels = np.asarray(assignment)
     n = x.shape[0]
-    if labels.shape != (n,):
-        raise DataError("one cluster index per data point required")
+    labels = as_assignment(assignment, n)
     if n < 3:
         raise DataError("silhouette needs at least 3 points")
     clusters, index = np.unique(labels, return_inverse=True)

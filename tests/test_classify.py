@@ -70,6 +70,10 @@ class TestClusterLabelMap:
         (("wave",), 1.0, "^confidence must be a sequence, got 1.0$"),
         (("wave", "pick"), (1.0,), "^one confidence value per cluster label required$"),
         ((), (), "^label map cannot be empty$"),
+        # iterable, but as characters, in no set order or as keys
+        ("wave", (1.0,) * 4, "^labels must be a sequence, got 'wave'$"),
+        (("wave", "pick"), {1.0, 0.5}, "^confidence must be a sequence, got {"),
+        ({"wave": 1.0, "pick": 0.5}, (1.0, 0.5), "^labels must be a sequence, got {'wave': 1.0, "),
     ])
     def test_fields_that_cannot_form_a_map_rejected(self, labels, confidence, message):
         with pytest.raises(DataError, match=message):
@@ -186,7 +190,7 @@ class TestBuildLabelMap:
         ([0.5, 1.0], "^assignment must hold integer component indices, got float64$"),
         ([0.0, 1.0], "^assignment must hold integer component indices, got float64$"),
         ([True, False], "^assignment must hold integer component indices, got bool$"),
-        ([[0, 1]], r"^\(1, 2\) assignments for 2 row labels$"),
+        ([[0, 1]], r"^one component index per row required, got shape \(1, 2\) for 2 rows$"),
     ])
     def test_assignment_that_is_not_one_index_per_row_rejected(self, assignment, message):
         with pytest.raises(DataError, match=message):

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import inspect
 import io
+import re
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from gesturemix import (
     generate_dataset,
 )
 from gesturemix.gmm import COVARIANCE_MODES
-from gesturemix.io import load_model, read_video, write_feature_csv, write_video
+from gesturemix.io import load_model, read_video_dir, write_feature_csv, write_video
 from gesturemix.synth import PROFILE_AMPLITUDES
 
 
@@ -564,7 +565,7 @@ def test_vanished_density_is_numerical_failure_without_numpy_warning(
     # coordinates scaled by 1e140 square to overflow in the E-step
     data, out = trained_dir
     path = sorted(data.glob("*.landmarks"))[0]
-    video = read_video(path)
+    video = read_video_dir(data)[0]
     write_video(replace(video, frames=video.frames * 1e140), path)
     done = subprocess.run(
         [sys.executable, "-m", "gesturemix.cli", command, "--model", str(out / "model.gmm"),
@@ -740,6 +741,30 @@ def test_every_private_module_level_name_is_used():
     private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
     assert private
     assert sorted(private - used) == []
+
+
+def test_every_public_module_level_name_is_used_outside_the_tests():
+    """A public module-level function or class is named in a package module
+    (its own included, but not the re-exports of __init__), in benchmarks/*.py
+    or in README.md, so no public path is one that only the tests reach."""
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted(p for p in Path(cli.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    public, used = set(), set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in modules + sorted((root / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path in modules:
+            public.update(
+                node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert public
+    assert sorted(public - used) == []
 
 
 def test_one_robot_action_per_gesture_profile():

@@ -242,9 +242,11 @@ class TestFactorOncePerParameterSet:
 
 
 def m_step(x, resp, reg_eps=1e-6, covariance_mode="full"):
-    """The closed-form M-step on (N, d) points and (N, K) responsibilities."""
-    r = np.ascontiguousarray(resp.T)
-    return gmm._m_step(np.ascontiguousarray(x.T), r, r.sum(axis=1), reg_eps, covariance_mode)
+    """The closed-form M-step on (N, d) points and (N, K) responsibilities, with
+    (K, d, N) work arrays as a fit passes them."""
+    xt, r = np.ascontiguousarray(x.T), np.ascontiguousarray(resp.T)
+    work = (np.empty(r.shape[:1] + xt.shape), np.empty(r.shape[:1] + xt.shape))
+    return gmm._m_step(xt, r, r.sum(axis=1), reg_eps, covariance_mode, work)
 
 
 class TestMStep:

@@ -41,7 +41,6 @@ from gesturemix.io import (
     export_plot_data,
     load_model,
     read_feature_csv,
-    read_video,
     read_video_dir,
     save_model,
     write_feature_csv,
@@ -79,7 +78,7 @@ class TestVideoFiles:
         video = generate_video(default_profiles()[0], frames=17, seed=3, source_id="rt")
         path = tmp_path / "v.landmarks"
         write_video(video, path)
-        back = read_video(path)
+        (back,) = read_video_dir(tmp_path)
         assert back.source_id == "rt"
         assert back.label == "wave"
         assert np.array_equal(back.frames, video.frames)
@@ -90,7 +89,7 @@ class TestVideoFiles:
         video = GestureVideo(frames=np.random.default_rng(0).random((3, 21, 3)), source_id="u")
         path = tmp_path / "u.landmarks"
         write_video(video, path)
-        back = read_video(path)
+        (back,) = read_video_dir(tmp_path)
         assert back.label is None
         assert np.array_equal(back.frames, video.frames)
 
@@ -98,13 +97,13 @@ class TestVideoFiles:
         path = tmp_path / "bad.landmarks"
         path.write_text("not-a-video\nsource_id=x\n")
         with pytest.raises(DataError, match="header"):
-            read_video(path)
+            read_video_dir(tmp_path)
 
     def test_wrong_cell_count_rejected(self, tmp_path):
         path = tmp_path / "bad.landmarks"
         path.write_text("gesture-landmarks v1\nsource_id=x\n1.0,2.0,3.0\n1,2,3\n")
         with pytest.raises(DataError, match="63"):
-            read_video(path)
+            read_video_dir(tmp_path)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         good = ",".join(["0.0"] * 63)
@@ -112,7 +111,7 @@ class TestVideoFiles:
         path = tmp_path / "bad.landmarks"
         path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n{bad}\n{bad}\n")
         with pytest.raises(DataError, match="non-numeric") as excinfo:
-            read_video(path)
+            read_video_dir(tmp_path)
         assert str(excinfo.value) == f"non-numeric value '1e' in {path}:4"
 
     def test_blank_lines_are_skipped_but_counted(self, tmp_path):
@@ -120,16 +119,16 @@ class TestVideoFiles:
         path = tmp_path / "gap.landmarks"
         path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n\n{good}\n\n1,2\n")
         with pytest.raises(DataError) as excinfo:
-            read_video(path)
+            read_video_dir(tmp_path)
         assert str(excinfo.value) == f"{path}:7: expected 63 values, got 2"
         path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n\n{good}\n")
-        assert read_video(path).frame_count == 2
+        assert read_video_dir(tmp_path)[0].frame_count == 2
 
     def test_one_frame_video_names_the_file(self, tmp_path):
         path = tmp_path / "short.landmarks"
         path.write_text("gesture-landmarks v1\nsource_id=x\n" + ",".join(["0.5"] * 63) + "\n")
         with pytest.raises(DataError) as excinfo:
-            read_video(path)
+            read_video_dir(tmp_path)
         assert str(excinfo.value) == f"{path}: a gesture video needs at least 2 frames"
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
@@ -138,7 +137,7 @@ class TestVideoFiles:
         path = tmp_path / "inf.landmarks"
         path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n{cell},{good[4:]}\n")
         with pytest.raises(DataError) as excinfo:
-            read_video(path)
+            read_video_dir(tmp_path)
         assert str(excinfo.value) == f"{path}: non-finite landmark coordinate in 'x'"
 
     @pytest.mark.parametrize("key, value", [("source_id", "v"), ("label", "wave")])
@@ -147,7 +146,7 @@ class TestVideoFiles:
         write_video(generate_video(default_profiles()[0], frames=3, seed=1, source_id="v"), path)
         path.write_text(path.read_text().replace(f"\n{key}={value}\n", f"\n{key}=\n"))
         with pytest.raises(DataError) as excinfo:
-            read_video(path)
+            read_video_dir(tmp_path)
         assert str(excinfo.value) == f"{path}: {key} is empty"
 
     def test_golden_bytes(self, tmp_path):
@@ -184,7 +183,7 @@ class TestVideoFiles:
         path = tmp_path / "v.landmarks"
         path.write_bytes(SMALL_VIDEO_TEXT.encode() + b"\xff\xfe")
         with pytest.raises(DataError) as excinfo:
-            read_video(path)
+            read_video_dir(tmp_path)
         assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {len(SMALL_VIDEO_TEXT)})"
 
 
@@ -754,14 +753,15 @@ def feature_matrix_lists(draw):
 
 @pytest.fixture(scope="module")
 def example_dir(tmp_path_factory):
-    """One directory whose files each generated example overwrites."""
+    """One directory whose files each generated example overwrites. Its one
+    landmark file is always v.landmarks, so read_video_dir reads it alone."""
     return tmp_path_factory.mktemp("readers")
 
 
 def loads_or_names_the_file(read, path, text):
     path.write_text(text)
     try:
-        read(path)
+        read()
     except DataError as exc:
         assert str(path) in str(exc)
 
@@ -772,26 +772,28 @@ class TestReaderContract:
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(text=reader_mutations(SMALL_VIDEO_TEXT))
     def test_mutated_video_loads_or_names_the_file(self, text, example_dir):
-        loads_or_names_the_file(read_video, example_dir / "m.landmarks", text)
+        path = example_dir / "v.landmarks"
+        loads_or_names_the_file(lambda: read_video_dir(example_dir), path, text)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(text=reader_mutations(SMALL_CSV_TEXT))
     def test_mutated_feature_csv_loads_or_names_the_file(self, text, example_dir):
-        loads_or_names_the_file(read_feature_csv, example_dir / "m.csv", text)
+        path = example_dir / "m.csv"
+        loads_or_names_the_file(lambda: read_feature_csv(path), path, text)
 
     def test_unmutated_inputs_load(self, example_dir):
         (example_dir / "v.landmarks").write_text(SMALL_VIDEO_TEXT)
-        assert read_video(example_dir / "v.landmarks").frame_count == 3
+        assert read_video_dir(example_dir)[0].frame_count == 3
         (example_dir / "f.csv").write_text(SMALL_CSV_TEXT)
         assert [f.label for f in read_feature_csv(example_dir / "f.csv")] == ["wave", "push"]
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(video=gesture_videos)
     def test_video_round_trip_is_bit_exact(self, video, example_dir):
-        path = example_dir / "rt.landmarks"
+        path = example_dir / "v.landmarks"
         write_video(video, path)
         first = path.read_bytes()
-        back = read_video(path)
+        (back,) = read_video_dir(example_dir)
         assert back.frames.tobytes() == video.frames.tobytes()
         assert (back.source_id, back.label) == (video.source_id, video.label)
         write_video(back, path)
@@ -822,7 +824,7 @@ def body_with(cell: str, last: bool = False) -> list[str]:
 
 def write_body(directory, rows: list[str]) -> Path:
     """A landmark file with a label line, so its body starts on line 4."""
-    path = directory / "body.landmarks"
+    path = directory / "v.landmarks"
     path.write_text("gesture-landmarks v1\nsource_id=v\nlabel=wave\n" + "".join(
         f"{row}\n" for row in rows
     ))
@@ -891,7 +893,7 @@ class TestFastReadIsTheLineLoop:
     def test_what_float_takes_and_numpy_refuses_is_read(self, cell, value, example_dir):
         path = write_body(example_dir, body_with(cell))
         assert parse_outcome(path) == line_loop_outcome(path)
-        assert read_video(path).frames[1, 0, 0] == value
+        assert read_video_dir(example_dir)[0].frames[1, 0, 0] == value
 
     @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
     @pytest.mark.parametrize(
@@ -908,7 +910,7 @@ class TestFastReadIsTheLineLoop:
         assert parse_outcome(path) == line_loop_outcome(path)
         frames = gio._parse_video(path)[2]
         assert np.array_equal(frames[1, 0, 0], float(cell), equal_nan=True)
-        assert read_error(read_video, path) == f"{path}: non-finite landmark coordinate in 'v'"
+        assert read_error(read_video_dir, example_dir) == f"{path}: non-finite landmark coordinate in 'v'"
 
     @pytest.mark.parametrize("rows, outcome", [
         ([" ", FRAME_ROW, "\t", FRAME_ROW, "\xa0"], (2, 21, 3)),
@@ -934,7 +936,7 @@ class TestFastReadIsTheLineLoop:
             raise AssertionError("the line loop ran")
 
         monkeypatch.setattr(gio, "_parse_floats", refuse)
-        assert read_video(tmp_path / "v.landmarks").frames.tobytes() == video.frames.tobytes()
+        assert read_video_dir(tmp_path)[0].frames.tobytes() == video.frames.tobytes()
 
 
 class TestPlotExport:
@@ -1082,8 +1084,10 @@ def read_error(read, *args) -> str:
 
 
 class TestFanOut:
-    def test_read_video_dir_is_the_serial_read(self, corpus, processes, forks):
-        serial = [read_video(path) for path in corpus]
+    def test_read_video_dir_is_the_serial_read(self, corpus, cpus, processes, forks):
+        cpus(1)
+        serial = read_video_dir(corpus[0].parent)
+        cpus(processes)
         videos = read_video_dir(corpus[0].parent)
         assert len(forks) == processes - 1
         assert [(v.source_id, v.label) for v in videos] == [(v.source_id, v.label) for v in serial]
@@ -1118,12 +1122,14 @@ class TestFanOut:
         assert shared == serial
         assert_no_child_left()
 
-    def test_first_error_in_file_order_is_raised(self, corpus, processes, forks):
+    def test_first_error_in_file_order_is_raised(self, corpus, cpus, processes, forks):
         # file 1 is in the first child's share, file 6 in the caller's share
         for index in (1, 6):
             corpus[index].write_text(corpus[index].read_text().replace(",", ";", 1))
-        expected = read_error(read_video, corpus[1])
+        cpus(1)
+        expected = read_error(read_video_dir, corpus[0].parent)
         assert expected.startswith(f"{corpus[1]}:4: expected 63 values, got 62")
+        cpus(processes)
         assert read_error(read_video_dir, corpus[0].parent) == expected
         assert len(forks) == processes - 1
         assert_no_child_left()

@@ -118,8 +118,19 @@ def test_too_few_points_rejected():
 
 @pytest.mark.parametrize("assignment", [[0, 1], [0, 1, 0, 1], [[0, 1, 0]]])
 def test_assignment_of_the_wrong_shape_rejected(assignment):
-    with pytest.raises(DataError, match="^one cluster index per data point required$"):
+    with pytest.raises(DataError, match="^one component index per row required, got shape"):
         silhouette(np.arange(9.0).reshape(3, 3), assignment)
+
+
+@pytest.mark.parametrize(("assignment", "dtype"), [
+    ([0.2, 0.7] * 3, "float64"),  # two clusters that to_text would both name 0
+    (["a", "b"] * 3, "<U1"),  # clusters that to_text could not name
+    ([True, False] * 3, "bool"),
+])
+def test_assignment_that_is_not_integer_indices_rejected(assignment, dtype):
+    message = f"^assignment must hold integer component indices, got {dtype}$"
+    with pytest.raises(DataError, match=message):
+        silhouette(np.arange(18.0).reshape(6, 3), assignment)
 
 
 def test_memory_stays_linear_in_rows():
