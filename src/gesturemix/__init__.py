@@ -5,8 +5,6 @@ from .classify import (
     ClusterLabelMap,
     build_label_map,
     classify_video,
-    record_header,
-    result_record,
 )
 from .errors import DataError, GestureMixError, ModelFormatError, NumericalError
 from .gmm import (
@@ -56,7 +54,5 @@ __all__ = [
     "generate_dataset",
     "generate_video",
     "log_likelihood",
-    "record_header",
-    "result_record",
     "silhouette",
 ]

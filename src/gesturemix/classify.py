@@ -131,13 +131,3 @@ def classify_video(
         margin=best - runner_up,
     )
 
-
-def record_header(label_map: ClusterLabelMap) -> str:
-    cols = ",".join(f"count_{lbl}" for lbl in label_map.distinct_labels)
-    return f"source_id,winner,margin,{cols}"
-
-
-def result_record(result: ClassificationResult, label_map: ClusterLabelMap) -> str:
-    """One-line serialization: source_id,winner,margin,count_g1,...,count_gK."""
-    counts = ",".join(str(result.counts[lbl]) for lbl in label_map.distinct_labels)
-    return f"{result.source_id},{result.winner},{result.margin},{counts}"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import build_label_map, classify_video, record_header, result_record
+from .classify import build_label_map, classify_video
 from .errors import DataError, NumericalError
 from .gmm import COVARIANCE_MODES, EmConfig, e_step, fit
 from .io import (
@@ -49,10 +49,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage -> 1
         raise UsageError(message)
-
-
-def _action_for(label: str) -> str:
-    return GESTURE_ACTIONS.get(label, f"execute-task:{label}")
 
 
 def _ingest_features(path: Path):
@@ -207,15 +203,17 @@ def cmd_classify(args) -> int:
     results = [classify_video(f, model.params, model.label_map, model.stats) for f in features]
     elapsed = time.perf_counter() - start
 
-    print(record_header(model.label_map))
-    for result in results:
-        print(result_record(result, model.label_map))
+    labels = model.label_map.distinct_labels
+    print("source_id,winner,margin," + ",".join(f"count_{lbl}" for lbl in labels))
+    for r in results:
+        counts = ",".join(str(r.counts[lbl]) for lbl in labels)
+        print(f"{r.source_id},{r.winner},{r.margin},{counts}")
 
     if all(f.label is not None for f in features):
         correct = sum(r.winner == f.label for r, f in zip(results, features))
         print(f"accuracy={correct / len(results):.4f} correct={correct} total={len(results)}")
-    for result in results:
-        print(f"action {result.source_id} {_action_for(result.winner)}")
+    for r in results:
+        print(f"action {r.source_id} {GESTURE_ACTIONS.get(r.winner, f'execute-task:{r.winner}')}")
 
     print(f"seconds_total={elapsed:.6f}", file=sys.stderr)
     if total_frames:
@@ -229,7 +227,9 @@ def cmd_score(args) -> int:
     data = apply_normalization(np.vstack([f.rows for f in features]), model.stats)
     assignment = np.argmax(e_step(data, model.params), axis=1)
     report = silhouette(data, assignment)
-    print(report.to_text())
+    print(f"silhouette_overall={report.overall:.17g}")
+    for cluster, mean in zip(report.clusters, report.per_cluster_mean):
+        print(f"silhouette_cluster_{cluster}={mean:.17g}")
     return 0
 
 

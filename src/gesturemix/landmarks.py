@@ -43,7 +43,7 @@ def as_rows(data, k: int = 1, width: int | None = None) -> np.ndarray:
     """Rows of data as a checked (N, d) float array: at least k rows, `width`
     columns when given, every value finite. The one check on rows of data of
     the mixture, the normalization, the silhouette and the plot export."""
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_floats(data, "data", copy=False)
     if x.ndim != 2 or width not in (None, x.shape[1]):
         raise DataError(f"data must be an (N, {width or 'd'}) array, got shape {x.shape}")
     if len(x) < k:
@@ -64,12 +64,21 @@ def as_assignment(assignment, n: int) -> np.ndarray:
     return a
 
 
-def _freeze(a, field: str) -> np.ndarray:
-    """`a` as a read-only float array; a value numpy cannot read as floats is a DataError."""
+def _as_floats(a, field: str, copy: bool) -> np.ndarray:
+    """`a` as a float64 array. Only integers and floats convert: a complex, bool,
+    string or object array is a DataError, as a bool or string is no number."""
     try:
-        out = np.array(a, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        x = np.asarray(a)
+    except (TypeError, ValueError) as exc:  # ragged nesting
         raise DataError(f"{field} must be an array of real numbers") from exc
+    if x.dtype.kind not in "iuf":
+        raise DataError(f"{field} must be an array of real numbers, got {x.dtype}")
+    return x.astype(np.float64, copy=copy)
+
+
+def _freeze(a, field: str) -> np.ndarray:
+    """`a` as a read-only float array of its own."""
+    out = _as_floats(a, field, copy=True)
     out.setflags(write=False)
     return out
 

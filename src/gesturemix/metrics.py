@@ -30,12 +30,6 @@ class SilhouetteReport:
     clusters: np.ndarray
     per_cluster_mean: np.ndarray
 
-    def to_text(self) -> str:
-        lines = [f"silhouette_overall={self.overall:.17g}"]
-        for cluster, mean in zip(self.clusters, self.per_cluster_mean):
-            lines.append(f"silhouette_cluster_{int(cluster)}={mean:.17g}")
-        return "\n".join(lines)
-
 
 def silhouette(data, assignment) -> SilhouetteReport:
     """Silhouette report for a hard cluster assignment.

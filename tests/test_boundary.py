@@ -1,14 +1,17 @@
 """The library boundary: a public type given a field value it cannot hold
-raises a GestureMixError, never another exception."""
+raises a GestureMixError, never another exception, and an array of any kind
+but integer or float is a DataError that names the field and the dtype."""
 
 import dataclasses
 import numbers
 
 import numpy as np
+import pytest
 
 import gesturemix
 from gesturemix import (
     ClusterLabelMap,
+    DataError,
     EmConfig,
     FeatureMatrix,
     GestureMixError,
@@ -17,6 +20,7 @@ from gesturemix import (
     MixtureParams,
     NormalizationStats,
 )
+from gesturemix.landmarks import as_rows
 
 # One valid instance of each public type that checks its fields.
 VALID = [
@@ -60,3 +64,38 @@ def test_a_bad_field_builds_or_is_a_package_error():
         except Exception as exc:  # any other type escapes the package's errors
             escaped.append(f"{type(valid).__name__}({field}={bad!r}): {exc!r}")
     assert escaped == []
+
+
+# Arrays of a valid array's shape whose kind is no real number: a complex array
+# would lose its imaginary part, and a bool or numeric-string array would read
+# as numbers, if each were converted to floats.
+WRONG_KINDS = {
+    "complex": lambda a: a + 1j,
+    "bool": lambda a: a.astype(bool),
+    "str": lambda a: a.astype(str),
+}
+
+ARRAY_FIELDS = [
+    pytest.param(valid, field.name, id=f"{type(valid).__name__}.{field.name}")
+    for valid in VALID
+    for field in dataclasses.fields(valid)
+    if field.init and isinstance(getattr(valid, field.name), np.ndarray)
+]
+
+
+@pytest.mark.parametrize("kind", WRONG_KINDS)
+@pytest.mark.parametrize(("valid", "field"), ARRAY_FIELDS)
+def test_an_array_field_of_the_wrong_kind_is_a_data_error(valid, field, kind):
+    bad = WRONG_KINDS[kind](getattr(valid, field))
+    kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
+    message = f"^{field} must be an array of real numbers, got {bad.dtype}$"
+    with pytest.raises(DataError, match=message):
+        type(valid)(**{**kwargs, field: bad})
+
+
+@pytest.mark.parametrize("kind", WRONG_KINDS)
+def test_rows_of_the_wrong_kind_are_a_data_error(kind):
+    bad = WRONG_KINDS[kind](np.ones((3, 3)))
+    message = f"^data must be an array of real numbers, got {bad.dtype}$"
+    with pytest.raises(DataError, match=message):
+        as_rows(bad)

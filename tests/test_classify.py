@@ -21,8 +21,6 @@ from gesturemix import (
     fit_normalization,
     generate_dataset,
     generate_video,
-    record_header,
-    result_record,
 )
 from oracles import tally_decision
 
@@ -274,16 +272,6 @@ class TestClassifyVideo:
         feat = FeatureMatrix(rows=np.zeros((21, 3)), source_id="v")
         with pytest.raises(DataError):
             classify_video(feat, params, label_map, IDENTITY_STATS)
-
-
-class TestRecords:
-    def test_record_and_header_format(self):
-        params = tight_mixture([[0.2, 0.2, 0.2], [5.0, 5.0, 5.0]])
-        label_map = ClusterLabelMap(labels=("wave", "pick"), confidence=(1.0, 1.0))
-        feat = FeatureMatrix(rows=np.full((21, 3), 0.2), source_id="vid-7")
-        result = classify_video(feat, params, label_map, IDENTITY_STATS)
-        assert record_header(label_map) == "source_id,winner,margin,count_pick,count_wave"
-        assert result_record(result, label_map) == "vid-7,wave,21,0,21"
 
 
 class TestSelfConsistency:

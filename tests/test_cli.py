@@ -17,15 +17,22 @@ from hypothesis import strategies as st
 from gesturemix import cli
 from gesturemix.cli import main
 from gesturemix import (
+    ClusterLabelMap,
     EmConfig,
     FeatureMatrix,
     GestureVideo,
+    MixtureParams,
+    NormalizationStats,
+    apply_normalization,
     compute_variances,
     default_profiles,
+    e_step,
     generate_dataset,
+    silhouette,
 )
 from gesturemix.gmm import COVARIANCE_MODES
-from gesturemix.io import load_model, read_video_dir, write_feature_csv, write_video
+from gesturemix.io import (ModelFile, load_model, read_video_dir, save_model, write_feature_csv,
+                           write_video)
 from gesturemix.synth import PROFILE_AMPLITUDES
 
 
@@ -68,6 +75,34 @@ def small_features(scaled=0, by=1.0):
     features = [compute_variances(v) for v in videos]
     features[scaled] = replace(features[scaled], rows=features[scaled].rows * by)
     return features
+
+
+def hand_model(path, labels, centres):
+    """Save a model of tight components, labelled in order, one at each centre
+    (c, c, c) of a feature space that its identity stats leave as it is."""
+    k = len(labels)
+    params = MixtureParams(
+        means=[[c] * 3 for c in centres], covs=[0.05**2 * np.eye(3)] * k, weights=[1 / k] * k
+    )
+    save_model(ModelFile(
+        config=EmConfig(k=k),
+        params=params,
+        stats=NormalizationStats(mean=np.zeros(3), std=np.ones(3)),
+        label_map=ClusterLabelMap(labels=labels, confidence=(1.0,) * k),
+        iterations=1,
+        final_log_likelihood=0.0,
+        silhouette=0.0,
+    ), path)
+    return str(path)
+
+
+def constant_csv(path, *videos):
+    """A feature CSV of (source_id, value, label) videos whose 21 rows all hold value."""
+    write_feature_csv([
+        FeatureMatrix(rows=np.full((21, 3), value), source_id=sid, label=label)
+        for sid, value, label in videos
+    ], path)
+    return str(path)
 
 
 @pytest.fixture()
@@ -496,6 +531,31 @@ class TestClassify:
         assert code == 0
         assert "accuracy=" in stdout
 
+    def test_exact_records_accuracy_and_actions(self, tmp_path, capsys):
+        model = hand_model(tmp_path / "m.gmm", ("wave", "pick"), (0.2, 5.0))
+        csv = constant_csv(tmp_path / "f.csv", ("vid-7", 0.2, "wave"), ("vid-8", 5.0, "pick"))
+        code, stdout, _ = run(capsys, "classify", "--model", model, "--input", csv)
+        assert code == 0
+        assert stdout == (
+            "source_id,winner,margin,count_pick,count_wave\n"
+            "vid-7,wave,21,0,21\n"
+            "vid-8,pick,21,21,0\n"
+            "accuracy=1.0000 correct=2 total=2\n"
+            "action vid-7 initialize-gripper\n"
+            "action vid-8 pick-object\n"
+        )
+
+    def test_gesture_without_a_robot_action_executes_its_task(self, tmp_path, capsys):
+        model = hand_model(tmp_path / "m.gmm", ("wave", "nod"), (0.2, 5.0))
+        csv = constant_csv(tmp_path / "f.csv", ("vid-9", 5.0, None))
+        code, stdout, _ = run(capsys, "classify", "--model", model, "--input", csv)
+        assert code == 0
+        assert stdout == (
+            "source_id,winner,margin,count_nod,count_wave\n"
+            "vid-9,nod,21,21,0\n"
+            "action vid-9 execute-task:nod\n"
+        )
+
     def test_timing_covers_ingest(self, capsys, monkeypatch, trained_dir):
         data, out = trained_dir
         ingest = cli._ingest_features
@@ -539,10 +599,24 @@ class TestScore:
             capsys, "score", "--model", str(out / "model.gmm"), "--input", str(data)
         )
         assert code == 0
-        assert stdout.startswith("silhouette_overall=")
-        assert "silhouette_cluster_" in stdout
-        overall = float(stdout.splitlines()[0].split("=")[1])
-        assert -1.0 <= overall <= 1.0
+        model = load_model(out / "model.gmm")
+        x = apply_normalization(
+            np.vstack([compute_variances(v).rows for v in read_video_dir(data)]), model.stats
+        )
+        report = silhouette(x, np.argmax(e_step(x, model.params), axis=1))
+        assert -1.0 <= report.overall <= 1.0
+        assert stdout.splitlines() == [f"silhouette_overall={report.overall:.17g}"] + [
+            f"silhouette_cluster_{c}={mean:.17g}"
+            for c, mean in zip(report.clusters.tolist(), report.per_cluster_mean.tolist())
+        ]
+
+    def test_clusters_keep_their_component_ids(self, tmp_path, capsys):
+        # no row falls near the middle component, so the clusters are 0 and 2
+        model = hand_model(tmp_path / "m.gmm", ("wave", "push", "pick"), (0.2, 2.5, 5.0))
+        csv = constant_csv(tmp_path / "f.csv", ("a", 0.2, None), ("b", 5.0, None))
+        code, stdout, _ = run(capsys, "score", "--model", model, "--input", csv)
+        assert code == 0
+        assert stdout == "silhouette_overall=1\nsilhouette_cluster_0=1\nsilhouette_cluster_2=1\n"
 
     def test_single_cluster_assignment_fails(self, tmp_path, capsys, trained_dir):
         _, out = trained_dir
@@ -746,11 +820,13 @@ def test_every_private_module_level_name_is_used():
 def test_every_public_module_level_name_is_used_outside_the_tests():
     """A public module-level function or class is named in a package module
     (its own included, but not the re-exports of __init__), in benchmarks/*.py
-    or in README.md, so no public path is one that only the tests reach."""
+    other than the benchmark's own tests, benchmarks/test_*.py, or in
+    README.md, so no public path is one that only the tests reach."""
     root = Path(__file__).resolve().parent.parent
     modules = sorted(p for p in Path(cli.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    benchmarks = [p for p in (root / "benchmarks").glob("*.py") if not p.name.startswith("test_")]
     public, used = set(), set(re.findall(r"\w+", (root / "README.md").read_text()))
-    for path in modules + sorted((root / "benchmarks").glob("*.py")):
+    for path in modules + sorted(benchmarks):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         if path in modules:
             public.update(

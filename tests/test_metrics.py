@@ -76,9 +76,6 @@ def test_report_structure():
     assert np.all(report.per_point >= -1.0) and np.all(report.per_point <= 1.0)
     assert list(report.clusters) == [0, 3]
     assert report.per_cluster_mean[0] == pytest.approx(report.per_point[:6].mean(), abs=1e-12)
-    text = report.to_text()
-    assert text.startswith("silhouette_overall=")
-    assert "silhouette_cluster_3=" in text
 
 
 def test_rigid_motion_invariance():
@@ -123,8 +120,8 @@ def test_assignment_of_the_wrong_shape_rejected(assignment):
 
 
 @pytest.mark.parametrize(("assignment", "dtype"), [
-    ([0.2, 0.7] * 3, "float64"),  # two clusters that to_text would both name 0
-    (["a", "b"] * 3, "<U1"),  # clusters that to_text could not name
+    ([0.2, 0.7] * 3, "float64"),  # fractions, not component indices
+    (["a", "b"] * 3, "<U1"),  # names, not component indices
     ([True, False] * 3, "bool"),
 ])
 def test_assignment_that_is_not_integer_indices_rejected(assignment, dtype):
