@@ -85,6 +85,8 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
     assignment = as_assignment(assignment, len(row_labels))
     if not np.all((assignment >= 0) & (assignment < k)):
         raise DataError(f"assignment holds a component outside 0..{k - 1}")
+    for label in dict.fromkeys(row_labels):  # each distinct label, before any vote compares them
+        check_names(label=label)
     labels = []
     confidence = []
     for comp in range(k):

@@ -7,11 +7,12 @@ layout of its file; every range, shape and name rule is checked by the object
 it builds, and `_checked` adds the file and line (or model field) to that
 object's error.
 
-A landmark body is parsed by numpy's C text reader, which makes the same
-correctly rounded conversion float() makes. Only when numpy refuses a body (or
-it holds U+001F, which numpy strips around a value and float() refuses) does
-the line loop run: it names the bad line, or accepts what float() accepts and
-numpy refuses, such as 1_0.
+Both body readers check and parse a whole body at once: a landmark body with
+numpy's C text reader, which makes float()'s correctly rounded conversion, a
+feature CSV column by column once its layout holds. Only when that fails (or a
+landmark body holds U+001F, which numpy strips and float() refuses) does the
+line loop run: it raises the first bad line's error as `path:N`, blank lines
+counted, or takes what float() takes and numpy refuses, such as 1_0.
 """
 
 import os
@@ -36,8 +37,7 @@ MANIFEST_HEADER = "file,source_id,label"
 
 
 def _parse_floats(cells: list[str], where: str) -> list[float]:
-    """The cells as floats. The first cell that does not parse is a DataError
-    naming the line `where`."""
+    """The cells as floats; the first that does not parse is a DataError naming `where`."""
     values = []
     for cell in cells:
         try:
@@ -179,7 +179,8 @@ _LM_CYCLE = [str(lm) for lm in range(1, LANDMARK_COUNT + 1)]
 def read_feature_csv(path) -> list[FeatureMatrix]:
     """The videos of a feature CSV. The layout is checked for the whole file at
     once (6 cells a row, lm = 1..21 per video, one source_id and label per
-    video), then each value column is parsed in one pass."""
+    video), then each value column is parsed in one pass; on any failure the
+    line loop names the first bad line."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines or lines[0] != FEATURE_CSV_HEADER:
@@ -194,39 +195,32 @@ def read_feature_csv(path) -> list[FeatureMatrix]:
     lineno = range(2, n + 2) if n == len(lines) - 1 else [
         no for no, line in enumerate(lines[1:], start=2) if line.strip()
     ]
-    commas = [line.count(",") for line in rows]
-    if commas.count(5) != n:
-        i = next(i for i, count in enumerate(commas) if count != 5)
-        raise DataError(f"{path}: row {lineno[i]} has {commas[i] + 1} cells, expected 6")
-    # every row holds 6 cells, so cell j of row i is cells[6 i + j]: one flat
-    # list of strings, rather than a list per row, for the whole file
+    # while every row holds 6 cells, cell j of row i is cells[6 i + j]: one
+    # flat list of strings, rather than a list per row, for the whole file
     cells = ",".join(rows).split(",")
     lm, source_ids, labels = cells[0::6], cells[4::6], cells[5::6]
-    if lm != _LM_CYCLE * (n // LANDMARK_COUNT):
-        i = next(i for i, cell in enumerate(lm) if cell != _LM_CYCLE[i % LANDMARK_COUNT])
-        raise DataError(
-            f"{path}: row {lineno[i]} has lm={lm[i]}, expected {i % LANDMARK_COUNT + 1}"
-        )
-    if any(
-        column[offset::LANDMARK_COUNT] != column[::LANDMARK_COUNT]
-        for column in (source_ids, labels) for offset in range(1, LANDMARK_COUNT)
-    ):
-        heads = [i - i % LANDMARK_COUNT for i in range(n)]
-        i = next(
-            i for i, head in enumerate(heads)
-            if source_ids[i] != source_ids[head] or labels[i] != labels[head]
-        )
-        raise DataError(f"{path}: source_id or label changes mid-video at row {lineno[i]}")
     values = np.empty((n, COORD_DIM))
     try:
+        # each row's own comma count: a 7-cell row then a 5-cell one leave the cells lined up
+        if ([row.count(",") for row in rows].count(5) != n
+                or lm != _LM_CYCLE * (n // LANDMARK_COUNT)
+                or any(column[offset::LANDMARK_COUNT] != column[::LANDMARK_COUNT]
+                       for column in (source_ids, labels) for offset in range(1, LANDMARK_COUNT))):
+            raise ValueError("a row breaks the layout")
         for j in range(COORD_DIM):
             values[:, j] = list(map(float, cells[1 + j::6]))
     except ValueError:
-        for i in range(n):  # raises on the file's first bad cell
-            _parse_floats(cells[6 * i + 1:6 * i + 4], f"{path} row {lineno[i]}")
-        raise  # not reached: some cell failed to parse above
+        for i, row in enumerate(rows):  # each line's rules in the order above
+            where, cells = f"{path}:{lineno[i]}", row.split(",")
+            if len(cells) != 6:
+                raise DataError(f"{where}: expected 6 values, got {len(cells)}")
+            if cells[0] != _LM_CYCLE[i % LANDMARK_COUNT]:
+                raise DataError(f"{where}: lm={cells[0]}, expected {i % LANDMARK_COUNT + 1}")
+            if cells[4:] != rows[i - i % LANDMARK_COUNT].split(",")[4:]:
+                raise DataError(f"{where}: source_id or label changes mid-video")
+            values[i] = _parse_floats(cells[1:4], where)
     return [
-        _checked(f"{path} row {lineno[start]}", lambda: FeatureMatrix(
+        _checked(f"{path}:{lineno[start]}", lambda: FeatureMatrix(
             rows=values[start:start + LANDMARK_COUNT],
             source_id=source_ids[start],
             label=labels[start] or None,

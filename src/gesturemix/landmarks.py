@@ -225,4 +225,8 @@ def fit_normalization(rows) -> NormalizationStats:
 
 def apply_normalization(rows, stats: NormalizationStats) -> np.ndarray:
     """Z-score each column of (N, 3) feature rows: (value - column mean) / column std."""
-    return (rows - stats.mean) / stats.std
+    try:
+        return (rows - stats.mean) / stats.std
+    except (TypeError, ValueError):  # numpy's, for rows that are not (N, 3) real numbers
+        raise DataError(f"feature rows must be (N, {COORD_DIM}) real numbers, got shape "
+                        f"{np.asarray(rows, dtype=object).shape}") from None

@@ -4,6 +4,7 @@ but integer or float is a DataError that names the field and the dtype."""
 
 import dataclasses
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from gesturemix import (
     GestureVideo,
     MixtureParams,
     NormalizationStats,
+    apply_normalization,
+    build_label_map,
 )
 from gesturemix.landmarks import as_rows
 
@@ -99,3 +102,25 @@ def test_rows_of_the_wrong_kind_are_a_data_error(kind):
     message = f"^data must be an array of real numbers, got {bad.dtype}$"
     with pytest.raises(DataError, match=message):
         as_rows(bad)
+
+
+@pytest.mark.parametrize("assignment, row_labels", [
+    ([0, 1, 1], ["a", 5, "b"]),  # 5 and "b" tie in component 1
+    ([0, 0, 0], ["a", 5, "a"]),  # 5 loses the vote
+])
+def test_a_row_label_that_is_no_name_is_a_data_error(assignment, row_labels):
+    with pytest.raises(DataError, match="^label must be a string, got 5$"):
+        build_label_map(np.array(assignment), row_labels, max(assignment) + 1)
+
+
+@pytest.mark.parametrize("rows, shape", [
+    (np.ones((2, 4)), (2, 4)),
+    (np.ones(4), (4,)),
+    ([[1.0, 2.0, 3.0], [1.0]], (2,)),
+    (None, ()),
+])
+def test_rows_the_normalization_cannot_take_are_a_data_error(rows, shape):
+    stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
+    message = rf"^feature rows must be \(N, 3\) real numbers, got shape {re.escape(str(shape))}$"
+    with pytest.raises(DataError, match=message):
+        apply_normalization(rows, stats)

@@ -252,7 +252,7 @@ class TestFeatureCsv:
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
         with pytest.raises(DataError, match="non-numeric") as excinfo:
             read_feature_csv(path)
-        assert str(excinfo.value) == f"non-numeric value 'oops' in {path} row 2"
+        assert str(excinfo.value) == f"non-numeric value 'oops' in {path}:2"
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -266,8 +266,9 @@ class TestFeatureCsv:
         rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
         rows[0] = "1.5,0.0,0.0,0.0,v0,wave"
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError, match="lm=1.5"):
+        with pytest.raises(DataError) as excinfo:
             read_feature_csv(path)
+        assert str(excinfo.value) == f"{path}:2: lm=1.5, expected 1"
 
     def test_source_id_change_mid_block_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -282,7 +283,7 @@ class TestFeatureCsv:
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
         with pytest.raises(DataError) as excinfo:
             read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}: source_id or label changes mid-video at row 12"
+        assert str(excinfo.value) == f"{path}:12: source_id or label changes mid-video"
 
     @pytest.mark.parametrize("cells", [5, 7])
     def test_wrong_cell_count_rejected(self, tmp_path, cells):
@@ -292,7 +293,7 @@ class TestFeatureCsv:
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
         with pytest.raises(DataError) as excinfo:
             read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}: row 5 has {cells} cells, expected 6"
+        assert str(excinfo.value) == f"{path}:5: expected 6 values, got {cells}"
 
     @pytest.mark.parametrize("cell, message", [
         ("inf", "NaN or infinite feature value"),
@@ -306,7 +307,7 @@ class TestFeatureCsv:
         path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
         with pytest.raises(DataError) as excinfo:
             read_feature_csv(path)
-        assert str(excinfo.value) == f"{path} row 23: {message} in 'v1'"
+        assert str(excinfo.value) == f"{path}:23: {message} in 'v1'"
 
     def test_rows_are_numbered_by_physical_line(self, tmp_path):
         path = tmp_path / "blank.csv"
@@ -315,7 +316,67 @@ class TestFeatureCsv:
         path.write_text("\n".join([FEATURE_CSV_HEADER, "", ""] + rows) + "\n")
         with pytest.raises(DataError) as excinfo:
             read_feature_csv(path)
-        assert str(excinfo.value) == f"non-numeric value 'oops' in {path} row 14"
+        assert str(excinfo.value) == f"non-numeric value 'oops' in {path}:14"
+
+    @pytest.mark.parametrize("faults, expected", [
+        ({1: "2,0.0,x,0.0,v0,wave", 8: "9,0.0,0.0,v0,wave"}, "non-numeric value 'x' in {path}:3"),
+        ({4: "5,0.0,0.0,0.0,v0,push", 18: "7,0.0,0.0,0.0,v0,wave"},
+         "{path}:6: source_id or label changes mid-video"),
+        ({2: "4,0.0,0.0,0.0,v0,wave", 3: "4,0.0,0.0,0.0,v1,wave"}, "{path}:4: lm=4, expected 3"),
+    ], ids=["number-before-cell-count", "names-before-lm", "lm-before-names"])
+    def test_the_first_bad_line_is_named_whatever_its_rule(self, tmp_path, faults, expected):
+        # each file breaks two rules; the one reported is on the earlier line
+        path = tmp_path / "bad.csv"
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
+        for i, row in faults.items():
+            rows[i] = row
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == expected.format(path=path)
+
+    def test_misplaced_line_break_is_named_by_its_cell_count(self, tmp_path):
+        # a 7-cell row then a 5-cell one: the file's cells still line up in sixes
+        path = tmp_path / "bad.csv"
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
+        rows[2:4] = ["3,0.0,0.0,0.0,v0,wave,4", "0.0,0.0,0.0,v0,wave"]
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read_feature_csv(path)
+        assert str(excinfo.value) == f"{path}:4: expected 6 values, got 7"
+
+    def test_feature_matrix_checks_follow_layout_and_numbers(self, tmp_path):
+        # a negative variance in the first video, a bad number in the second
+        path = tmp_path / "bad.csv"
+        rows = [f"{i % 21 + 1},0.0,0.0,0.0,v{i // 21},wave" for i in range(42)]
+        rows[3] = "4,0.0,-1,0.0,v0,wave"
+        rows[30] = "10,0.0,oops,0.0,v1,wave"
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        assert read_error(read_feature_csv, path) == f"non-numeric value 'oops' in {path}:32"
+        rows[30] = "10,0.0,0.5,0.0,v1,wave"
+        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        assert read_error(read_feature_csv, path) == f"{path}:2: negative variance in 'v0'"
+
+    @pytest.mark.parametrize("fault, expected", [
+        ("cells", "{path}:{line}: expected {count} values, got {got}"),
+        ("number", "non-numeric value 'x' in {path}:{line}"),
+    ], ids=["cells", "number"])
+    def test_both_readers_name_a_fault_alike(self, tmp_path, fault, expected):
+        # the same fault on line 5 of a landmark file and of a feature CSV
+        videos, csv = tmp_path / "videos", tmp_path / "bad.csv"
+        videos.mkdir()
+        frame = ["0.5"] * 63
+        bad_frame = frame[:-1] if fault == "cells" else frame[:-1] + ["x"]
+        video = write_body(videos, [",".join(frame), ",".join(bad_frame)])
+        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
+        rows[3] = "4,0.0,0.0,v0,wave" if fault == "cells" else "4,0.0,0.0,x,v0,wave"
+        csv.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
+        assert read_error(read_video_dir, videos) == expected.format(
+            path=video, line=5, count=63, got=62
+        )
+        assert read_error(read_feature_csv, csv) == expected.format(
+            path=csv, line=5, count=6, got=5
+        )
 
     def test_non_utf8_byte_names_the_file(self, tmp_path):
         path = tmp_path / "f.csv"
