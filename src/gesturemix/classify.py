@@ -85,7 +85,11 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
     assignment = as_assignment(assignment, len(row_labels))
     if not np.all((assignment >= 0) & (assignment < k)):
         raise DataError(f"assignment holds a component outside 0..{k - 1}")
-    for label in dict.fromkeys(row_labels):  # each distinct label, before any vote compares them
+    try:
+        distinct = dict.fromkeys(row_labels)  # each distinct label, before any vote compares them
+    except TypeError:  # an unhashable label: look at every row to name it
+        distinct = row_labels
+    for label in distinct:
         check_names(label=label)
     labels = []
     confidence = []

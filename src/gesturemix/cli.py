@@ -73,19 +73,16 @@ def _ingest_features(path: Path):
 
 
 def cmd_synth(args) -> int:
-    if args.frames < 2:
-        raise UsageError("--frames must be at least 2")
-    if args.videos_per_profile < 1:
-        raise UsageError("--videos-per-profile must be at least 1")
-    if args.seed < 0:  # numpy's generators take no negative seed
-        raise UsageError("--seed must be non-negative")
+    try:  # the generator bounds every flag, before anything is written
+        videos = generate_dataset(
+            default_profiles(),
+            videos_per_profile=args.videos_per_profile,
+            frames=args.frames,
+            seed=args.seed,
+        )
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(args.output)
-    videos = generate_dataset(
-        default_profiles(),
-        videos_per_profile=args.videos_per_profile,
-        frames=args.frames,
-        seed=args.seed,
-    )
     out.mkdir(parents=True, exist_ok=True)
     entries = [(f"{v.source_id}.landmarks", v.source_id, v.label) for v in videos]
     # each process writes its share of the files; write_video is looked up when
@@ -235,7 +232,7 @@ def cmd_score(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gesturemix", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic gesture corpus")
     p_synth.add_argument("--output", default="gesture-data", help="output directory")
@@ -271,9 +268,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
-            return 1
         # an overflow or invalid value in any command fails a finiteness check that
         # raises below, so numpy's warning would only repeat it; library callers keep theirs
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,68 @@ import pytest
 import gesturemix
 from gesturemix import (
     ClusterLabelMap,
+    EmConfig,
     FeatureMatrix,
     MixtureParams,
     NormalizationStats,
+    apply_normalization,
+    build_label_map,
     classify,
     classify_video,
+    compute_variances,
+    default_profiles,
+    fit,
+    fit_normalization,
+    generate_dataset,
+    silhouette,
 )
 from gesturemix import parallel
+from gesturemix.io import ModelFile
+
+
+@pytest.fixture(scope="session")
+def default_experiment():
+    """The paper's experiment: the corpus of seed 0 (4 gestures x 20 videos x
+    150 frames) trained with k=4 and seed 0, timed from generation to silhouette."""
+    start = time.perf_counter()
+    videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
+    features = [compute_variances(v) for v in videos]
+    raw_rows = np.vstack([f.rows for f in features])
+    stats = fit_normalization(raw_rows)
+    data = apply_normalization(raw_rows, stats)
+    config = EmConfig(k=4, seed=0)
+    params, resp, trace = fit(data, config)
+    assignment = np.argmax(resp, axis=1)
+    label_map = build_label_map(assignment, [f.label for f in features for _ in range(21)], 4)
+    report = silhouette(data, assignment)
+    train_seconds = time.perf_counter() - start
+    model = ModelFile(
+        config=config,
+        params=params,
+        stats=stats,
+        label_map=label_map,
+        iterations=trace.n_iters,
+        final_log_likelihood=trace.log_likelihoods[-1],
+        silhouette=report.overall,
+    )
+    return {
+        "videos": videos,
+        "features": features,
+        "report": report,
+        "train_seconds": train_seconds,
+        "model": model,  # its params, stats and label map are the experiment's
+    }
+
+
+@pytest.fixture(scope="session")
+def held_out():
+    """Criterion 07's held-out videos: the first 50 of each 13-per-gesture corpus
+    of seeds 101-105, in seed order."""
+    corpora = (
+        generate_dataset(default_profiles(), videos_per_profile=13, frames=150, seed=seed)
+        for seed in (101, 102, 103, 104, 105)
+    )
+    return [video for corpus in corpora for video in corpus[:50]]
 
 
 @pytest.fixture()

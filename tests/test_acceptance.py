@@ -9,23 +9,19 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from gesturemix import (
     EmConfig,
     MixtureParams,
-    apply_normalization,
-    build_label_map,
     classify_video,
     compute_variances,
     default_profiles,
     fit,
-    fit_normalization,
     generate_dataset,
     log_likelihood,
     silhouette,
 )
-from gesturemix.io import ModelFile, load_model, save_model, write_feature_csv
+from gesturemix.io import load_model, save_model, write_feature_csv
 from oracles import brute_force_silhouette
 
 # Frozen after the one-off calibration run of the default corpus
@@ -55,42 +51,6 @@ def _separated_instance(seed):
 
 def _with_means(params, means):
     return MixtureParams(means=means, covs=params.covs, weights=params.weights)
-
-
-@pytest.fixture(scope="module")
-def default_run():
-    """Default experiment: 80-video synthetic corpus trained with seed 0."""
-    start = time.perf_counter()
-    videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
-    features = [compute_variances(v) for v in videos]
-    raw_rows = np.vstack([f.rows for f in features])
-    stats = fit_normalization(raw_rows)
-    data = apply_normalization(raw_rows, stats)
-    config = EmConfig(k=4, seed=0)
-    params, resp, trace = fit(data, config)
-    assignment = np.argmax(resp, axis=1)
-    label_map = build_label_map(assignment, [f.label for f in features for _ in range(21)], 4)
-    report = silhouette(data, assignment)
-    train_seconds = time.perf_counter() - start
-    model = ModelFile(
-        config=config,
-        params=params,
-        stats=stats,
-        label_map=label_map,
-        iterations=trace.n_iters,
-        final_log_likelihood=trace.log_likelihoods[-1],
-        silhouette=report.overall,
-    )
-    return {
-        "videos": videos,
-        "features": features,
-        "stats": stats,
-        "params": params,
-        "label_map": label_map,
-        "report": report,
-        "train_seconds": train_seconds,
-        "model": model,
-    }
 
 
 def test_criterion_01_em_monotonicity():
@@ -203,39 +163,37 @@ def test_criterion_05_reference_posterior_votes(votes_on_posteriors):
     )
 
 
-def test_criterion_06_experiment_shape(default_run, tmp_path):
-    features = default_run["features"]
+def test_criterion_06_experiment_shape(default_experiment, tmp_path):
+    videos = default_experiment["videos"]
     csv_path = tmp_path / "features.csv"
-    write_feature_csv(features, csv_path)
+    write_feature_csv(default_experiment["features"], csv_path)
     data_rows = len(csv_path.read_text().splitlines()) - 1
-    seconds = default_run["train_seconds"]
-    ok = len(default_run["videos"]) == 80 and data_rows == 1680 and seconds < 30.0
+    seconds = default_experiment["train_seconds"]
+    ok = len(videos) == 80 and data_rows == 1680 and seconds < 30.0
     _report(
         6,
         "experiment-shape",
         ok,
-        f"{len(default_run['videos'])} videos, {data_rows} feature rows, train {seconds:.1f}s",
+        f"{len(videos)} videos, {data_rows} feature rows, train {seconds:.1f}s",
     )
 
 
-def test_criterion_07_accuracy_band(default_run):
-    model = default_run["model"]
+def test_criterion_07_accuracy_band(default_experiment, held_out):
+    model = default_experiment["model"]
     accuracies = []
-    for seed in (101, 102, 103, 104, 105):
-        held = generate_dataset(default_profiles(), videos_per_profile=13, frames=150, seed=seed)
-        held = held[:50]
+    for first in range(0, len(held_out), 50):  # one corpus seed at a time
         correct = sum(
             classify_video(compute_variances(v), model.params, model.label_map, model.stats).winner
             == v.label
-            for v in held
+            for v in held_out[first:first + 50]
         )
         accuracies.append(correct / 50)
     ok = all(acc >= 0.94 for acc in accuracies)
     _report(7, "accuracy-band", ok, "accuracies " + ", ".join(f"{a:.2f}" for a in accuracies))
 
 
-def test_criterion_08_silhouette_band(default_run):
-    overall = default_run["report"].overall
+def test_criterion_08_silhouette_band(default_experiment):
+    overall = default_experiment["report"].overall
     ok = 0.45 <= overall <= 0.80 and abs(overall - CALIBRATED_SILHOUETTE) <= 0.02
     _report(
         8,
@@ -245,8 +203,8 @@ def test_criterion_08_silhouette_band(default_run):
     )
 
 
-def test_criterion_09_persistence_round_trip(default_run, tmp_path):
-    model = default_run["model"]
+def test_criterion_09_persistence_round_trip(default_experiment, tmp_path):
+    model = default_experiment["model"]
     path = tmp_path / "model.gmm"
     save_model(model, path)
     reloaded = load_model(path)

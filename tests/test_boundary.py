@@ -107,9 +107,11 @@ def test_rows_of_the_wrong_kind_are_a_data_error(kind):
 @pytest.mark.parametrize("assignment, row_labels", [
     ([0, 1, 1], ["a", 5, "b"]),  # 5 and "b" tie in component 1
     ([0, 0, 0], ["a", 5, "a"]),  # 5 loses the vote
+    ([0, 0], [["a"], "b"]),  # a list cannot be hashed
 ])
 def test_a_row_label_that_is_no_name_is_a_data_error(assignment, row_labels):
-    with pytest.raises(DataError, match="^label must be a string, got 5$"):
+    bad = next(label for label in row_labels if not isinstance(label, str))
+    with pytest.raises(DataError, match=f"^label must be a string, got {re.escape(repr(bad))}$"):
         build_label_map(np.array(assignment), row_labels, max(assignment) + 1)
 
 

@@ -18,8 +18,6 @@ from gesturemix import (
     default_profiles,
     e_step,
     fit,
-    fit_normalization,
-    generate_dataset,
     generate_video,
 )
 from oracles import tally_decision
@@ -290,18 +288,6 @@ class TestSelfConsistency:
             assert label_map.confidence[k] == pytest.approx(agree / len(owned), abs=1e-15)
 
 
-@pytest.fixture(scope="module")
-def default_model():
-    """The default corpus (4 gestures x 20 videos x 150 frames, seed 0), trained
-    with k=4 and seed 0: (params, label_map, stats)."""
-    videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
-    raw_rows = np.vstack([compute_variances(v).rows for v in videos])
-    stats = fit_normalization(raw_rows)
-    params, resp, _ = fit(apply_normalization(raw_rows, stats), EmConfig(k=4, seed=0))
-    row_labels = [v.label for v in videos for _ in range(21)]
-    return params, build_label_map(np.argmax(resp, axis=1), row_labels, params.k), stats
-
-
 class TestDecisionOracle:
     """classify_video against a hand tally of the E-step's posteriors."""
 
@@ -313,18 +299,18 @@ class TestDecisionOracle:
         assert list(result.counts) == list(counts)
         assert (result.winner, result.margin) == (winner, margin)
 
-    def test_default_model_on_fresh_gestures(self, default_model):
-        params, label_map, stats = default_model
+    def test_default_model_on_fresh_gestures(self, default_experiment):
+        model = default_experiment["model"]
         profiles = default_profiles()
         winners = set()
         for i in range(200):
             video = generate_video(profiles[i % 4], frames=150, seed=7000 + i, source_id=f"g{i}")
             features = compute_variances(video)
-            result = classify_video(features, params, label_map, stats)
-            posteriors = e_step(apply_normalization(features.rows, stats), params)
-            self.assert_matches_tally(result, posteriors, label_map.labels)
+            result = classify_video(features, model.params, model.label_map, model.stats)
+            posteriors = e_step(apply_normalization(features.rows, model.stats), model.params)
+            self.assert_matches_tally(result, posteriors, model.label_map.labels)
             winners.add(result.winner)
-        assert winners == set(label_map.labels)
+        assert winners == set(model.label_map.labels)
 
     def test_tied_posteriors_and_shared_labels(self, monkeypatch):
         # coarse posteriors tie often, within a row and between labels' vote counts

@@ -157,12 +157,17 @@ class TestSynth:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize(("flag", "value"), [("--frames", "1"), ("--videos-per-profile", "0")])
-    def test_bad_frames_flag_touches_nothing(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize(("flag", "value", "message"), [
+        ("--frames", "1", "frames must be at least 2"),
+        ("--videos-per-profile", "0", "videos_per_profile must be at least 1"),
+        ("--seed", "-1", "seed must be at least 0"),
+    ])
+    def test_flag_out_of_bounds_is_usage_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "never"
-        code, _, stderr = run(capsys, "synth", "--output", str(out), flag, value)
+        code, stdout, stderr = run(capsys, "synth", "--output", str(out), flag, value)
         assert code == 1
-        assert flag in stderr
+        assert stdout == ""
+        assert stderr == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_impossible_allocation_is_data_error(self, tmp_path, capsys):
@@ -175,14 +180,6 @@ class TestSynth:
         assert stdout == ""
         (line,) = stderr.splitlines()
         assert line.startswith("data error: Unable to allocate")
-        assert not out.exists()
-
-    def test_negative_seed_is_usage_error_before_anything_is_written(self, tmp_path, capsys):
-        out = tmp_path / "never"
-        code, stdout, stderr = run(capsys, "synth", "--output", str(out), "--seed", "-1")
-        assert code == 1
-        assert stderr.startswith("usage error:") and "--seed" in stderr
-        assert stdout == ""
         assert not out.exists()
 
 
@@ -723,8 +720,10 @@ def test_one_video_scaled_by_a_power_of_ten_ends_cleanly(small_model, video, exp
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
-        code, _, _ = run(capsys)
+        code, stdout, stderr = run(capsys)
         assert code == 1
+        assert stdout == ""
+        assert stderr == "usage error: the following arguments are required: command\n"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "synth", "--bogus")

@@ -1,5 +1,6 @@
 """Checks that tie documentation and benchmark hooks to the code they name."""
 
+import argparse
 import importlib.util
 import re
 from collections import Counter
@@ -16,6 +17,7 @@ from gesturemix import (
     NormalizationStats,
     apply_normalization,
     classify,
+    cli,
     compute_variances,
     default_profiles,
     fit,
@@ -37,6 +39,22 @@ def test_readme_library_example_runs(capsys):
     silhouette, winner = capsys.readouterr().out.split()
     assert 0.6 < float(silhouette) < 0.7
     assert winner in {"wave", "pick", "stack", "push"}
+
+
+def test_readme_cli_synopsis_names_every_flag_of_each_command():
+    synopsis = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    named = {
+        chunk.split()[0]: set(re.findall(r"--[a-z-]+", chunk))
+        for chunk in re.split(r"^gesturemix ", synopsis, flags=re.M)[1:]
+    }
+    actions = cli.build_parser()._actions
+    (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in commands.choices.items()
+    }
+    assert named == flags
 
 
 def _load_tracing():

@@ -241,6 +241,25 @@ class TestFactorOncePerParameterSet:
         assert classify_video(features, params, label_map, stats).winner in label_map.labels
 
 
+class TestInverseFactor:
+    """prec_chol is lower-triangular, with no stray entry above the diagonal,
+    and inverts each covariance's Cholesky factor to within 1e-12."""
+
+    @staticmethod
+    def assert_inverts_cholesky(params):
+        assert not np.triu(params.prec_chol, 1).any()
+        product = params.prec_chol @ np.linalg.cholesky(params.covs)
+        assert np.abs(product - np.eye(params.means.shape[1])).max() <= 1e-12
+
+    def test_default_model(self, default_experiment):
+        self.assert_inverts_cholesky(default_experiment["model"].params)
+
+    def test_random_spd_stacks(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            self.assert_inverts_cholesky(random_mixture(rng, 4))
+
+
 def m_step(x, resp, reg_eps=1e-6, covariance_mode="full"):
     """The closed-form M-step on (N, d) points and (N, K) responsibilities, with
     (K, d, N) work arrays as a fit passes them."""

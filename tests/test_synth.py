@@ -157,12 +157,6 @@ def test_bad_profile_rejected():
 
 
 class TestGenerateDataset:
-    def test_default_shape_is_80_videos(self):
-        videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
-        assert len(videos) == 80
-        rows = sum(compute_variances(v).rows.shape[0] for v in videos)
-        assert rows == 1680
-
     def test_singleton_dataset(self):
         videos = generate_dataset(default_profiles()[:1], videos_per_profile=1, frames=5, seed=0)
         assert len(videos) == 1

@@ -9,42 +9,7 @@ criterion 07's 0.94 accuracy, over all 250 videos at once.
 import numpy as np
 import pytest
 
-from gesturemix import (
-    EmConfig,
-    GestureVideo,
-    apply_normalization,
-    build_label_map,
-    classify_video,
-    compute_variances,
-    default_profiles,
-    fit,
-    fit_normalization,
-    generate_dataset,
-)
-
-
-@pytest.fixture(scope="module")
-def default_model():
-    """The default experiment's model: corpus seed 0, 80 videos, K = 4, seed 0."""
-    videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=150, seed=0)
-    features = [compute_variances(v) for v in videos]
-    raw_rows = np.vstack([f.rows for f in features])
-    stats = fit_normalization(raw_rows)
-    params, resp, _ = fit(apply_normalization(raw_rows, stats), EmConfig(k=4, seed=0))
-    labels = [f.label for f in features for _ in range(21)]
-    return params, build_label_map(resp.argmax(axis=1), labels, params.k), stats
-
-
-@pytest.fixture(scope="module")
-def held_out():
-    """Criterion 07's held-out videos: the first 50 of corpus seeds 101-105."""
-    return [
-        video
-        for seed in (101, 102, 103, 104, 105)
-        for video in generate_dataset(
-            default_profiles(), videos_per_profile=13, frames=150, seed=seed
-        )[:50]
-    ]
+from gesturemix import GestureVideo, classify_video, compute_variances
 
 
 def _about_mean_pose(frames, scale):
@@ -81,8 +46,9 @@ TRANSFORMS = {
 
 
 @pytest.mark.parametrize("name", TRANSFORMS)
-def test_varied_gesture_is_recognised(name, default_model, held_out):
-    params, label_map, stats = default_model
+def test_varied_gesture_is_recognised(name, default_experiment, held_out):
+    model = default_experiment["model"]
+    params, label_map, stats = model.params, model.label_map, model.stats
     transform = TRANSFORMS[name]
     correct = 0
     for i, video in enumerate(held_out):
