@@ -48,25 +48,27 @@ def replacements():
             if not field.init or not isinstance(element, (numbers.Number, np.ndarray)):
                 continue
             for bad in [None, "x"] + [2.5] * isinstance(element, numbers.Integral):
-                yield valid, field.name, (*value[:-1], bad) if isinstance(value, tuple) else bad
+                yield pytest.param(
+                    valid, field.name, (*value[:-1], bad) if isinstance(value, tuple) else bad,
+                    id=f"{type(valid).__name__}.{field.name}={bad!r}",
+                )
 
 
-def test_a_bad_field_builds_or_is_a_package_error():
+def test_every_validating_public_type_has_a_valid_instance():
     validating = {
         obj for obj in map(gesturemix.__dict__.get, gesturemix.__all__)
         if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")
     }
     assert validating == {type(valid) for valid in VALID}
-    escaped = []
-    for valid, field, bad in replacements():
-        kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
-        try:
-            type(valid)(**{**kwargs, field: bad})
-        except GestureMixError:
-            pass
-        except Exception as exc:  # any other type escapes the package's errors
-            escaped.append(f"{type(valid).__name__}({field}={bad!r}): {exc!r}")
-    assert escaped == []
+
+
+@pytest.mark.parametrize(("valid", "field", "bad"), replacements())
+def test_a_bad_field_builds_or_is_a_package_error(valid, field, bad):
+    kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
+    try:
+        type(valid)(**{**kwargs, field: bad})
+    except GestureMixError:
+        pass  # any other type escapes the package's errors and fails the test
 
 
 # Arrays of a valid array's shape whose kind is no real number: a complex array

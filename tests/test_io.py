@@ -20,13 +20,8 @@ from gesturemix import (
     MixtureParams,
     ModelFormatError,
     NormalizationStats,
-    apply_normalization,
-    build_label_map,
     classify_video,
-    compute_variances,
     default_profiles,
-    fit,
-    fit_normalization,
     generate_dataset,
     generate_video,
 )
@@ -48,472 +43,22 @@ from gesturemix.io import (
 )
 
 
-@pytest.fixture(scope="module")
-def trained():
-    """Small trained model over a 12-video corpus."""
-    videos = generate_dataset(default_profiles(), videos_per_profile=3, frames=40, seed=9)
-    features = [compute_variances(v) for v in videos]
-    raw_rows = np.vstack([f.rows for f in features])
-    stats = fit_normalization(raw_rows)
-    config = EmConfig(k=4, seed=0)
-    params, resp, trace = fit(apply_normalization(raw_rows, stats), config)
-    row_labels = [f.label for f in features for _ in range(21)]
-    label_map = build_label_map(np.argmax(resp, axis=1), row_labels, params.k)
-    model = ModelFile(
-        config=config,
-        params=params,
-        stats=stats,
-        label_map=label_map,
-        iterations=trace.n_iters,
-        final_log_likelihood=trace.log_likelihoods[-1],
-        silhouette=0.5,
-    )
-    return model, features, resp
+# One frame of a landmark file body.
+FRAME_ROW = ",".join(["0.5"] * 63)
 
+# A small file of each text format, as its exact text; save_model writes
+# SMALL_MODEL as SMALL_MODEL_TEXT.
+SMALL_VIDEO_TEXT = "\n".join(
+    ["gesture-landmarks v1", "source_id=v1", "label=wave"]
+    + [",".join([f"{frame}.5"] * 63) for frame in range(3)]
+) + "\n"
 
-class TestVideoFiles:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(1)
-        video = generate_video(default_profiles()[0], frames=17, seed=3, source_id="rt")
-        path = tmp_path / "v.landmarks"
-        write_video(video, path)
-        (back,) = read_video_dir(tmp_path)
-        assert back.source_id == "rt"
-        assert back.label == "wave"
-        assert np.array_equal(back.frames, video.frames)
+SMALL_CSV_TEXT = "\n".join([FEATURE_CSV_HEADER] + [
+    f"{lm},0.5,1.5,2.5,{source_id},{label}"
+    for source_id, label in (("v1", "wave"), ("v2", "push"))
+    for lm in range(1, 22)
+]) + "\n"
 
-    def test_label_line_is_optional(self, tmp_path):
-        from gesturemix import GestureVideo
-
-        video = GestureVideo(frames=np.random.default_rng(0).random((3, 21, 3)), source_id="u")
-        path = tmp_path / "u.landmarks"
-        write_video(video, path)
-        (back,) = read_video_dir(tmp_path)
-        assert back.label is None
-        assert np.array_equal(back.frames, video.frames)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.landmarks"
-        path.write_text("not-a-video\nsource_id=x\n")
-        with pytest.raises(DataError, match="header"):
-            read_video_dir(tmp_path)
-
-    def test_wrong_cell_count_rejected(self, tmp_path):
-        path = tmp_path / "bad.landmarks"
-        path.write_text("gesture-landmarks v1\nsource_id=x\n1.0,2.0,3.0\n1,2,3\n")
-        with pytest.raises(DataError, match="63"):
-            read_video_dir(tmp_path)
-
-    def test_non_numeric_cell_rejected(self, tmp_path):
-        good = ",".join(["0.0"] * 63)
-        bad = ",".join(["0.0"] * 60 + ["1e", "0.0", "abc"])
-        path = tmp_path / "bad.landmarks"
-        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n{bad}\n{bad}\n")
-        with pytest.raises(DataError, match="non-numeric") as excinfo:
-            read_video_dir(tmp_path)
-        assert str(excinfo.value) == f"non-numeric value '1e' in {path}:4"
-
-    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
-        good = ",".join(["0.5"] * 63)
-        path = tmp_path / "gap.landmarks"
-        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n\n{good}\n\n1,2\n")
-        with pytest.raises(DataError) as excinfo:
-            read_video_dir(tmp_path)
-        assert str(excinfo.value) == f"{path}:7: expected 63 values, got 2"
-        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n\n{good}\n")
-        assert read_video_dir(tmp_path)[0].frame_count == 2
-
-    def test_one_frame_video_names_the_file(self, tmp_path):
-        path = tmp_path / "short.landmarks"
-        path.write_text("gesture-landmarks v1\nsource_id=x\n" + ",".join(["0.5"] * 63) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_video_dir(tmp_path)
-        assert str(excinfo.value) == f"{path}: a gesture video needs at least 2 frames"
-
-    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
-    def test_non_finite_coordinate_names_the_file(self, tmp_path, cell):
-        good = ",".join(["0.5"] * 63)
-        path = tmp_path / "inf.landmarks"
-        path.write_text(f"gesture-landmarks v1\nsource_id=x\n{good}\n{cell},{good[4:]}\n")
-        with pytest.raises(DataError) as excinfo:
-            read_video_dir(tmp_path)
-        assert str(excinfo.value) == f"{path}: non-finite landmark coordinate in 'x'"
-
-    @pytest.mark.parametrize("key, value", [("source_id", "v"), ("label", "wave")])
-    def test_empty_name_names_the_file(self, tmp_path, key, value):
-        path = tmp_path / "v.landmarks"
-        write_video(generate_video(default_profiles()[0], frames=3, seed=1, source_id="v"), path)
-        path.write_text(path.read_text().replace(f"\n{key}={value}\n", f"\n{key}=\n"))
-        with pytest.raises(DataError) as excinfo:
-            read_video_dir(tmp_path)
-        assert str(excinfo.value) == f"{path}: {key} is empty"
-
-    def test_golden_bytes(self, tmp_path):
-        from gesturemix import GestureVideo
-
-        frames = np.full((2, 21, 3), 0.1)
-        frames[0, -1] = [1 / 3, -0.0, 1e-300]
-        frames[1] = 2.5
-        frames[1, -1] = [123456789.125, -7.0, 5e-324]
-        path = tmp_path / "g.landmarks"
-        write_video(GestureVideo(frames=frames, source_id="g1", label="wave"), path)
-        assert path.read_text() == (
-            "gesture-landmarks v1\nsource_id=g1\nlabel=wave\n"
-            + ",".join(["0.10000000000000001"] * 60 + ["0.33333333333333331", "-0", "1e-300"])
-            + "\n"
-            + ",".join(["2.5"] * 60 + ["123456789.125", "-7", "4.9406564584124654e-324"])
-            + "\n"
-        )
-
-    def test_directory_reader_sorts_by_filename(self, tmp_path):
-        for name in ("b", "a", "c"):
-            write_video(
-                generate_video(default_profiles()[0], frames=5, seed=ord(name), source_id=name),
-                tmp_path / f"{name}.landmarks",
-            )
-        videos = read_video_dir(tmp_path)
-        assert [v.source_id for v in videos] == ["a", "b", "c"]
-
-    def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="no .*landmarks"):
-            read_video_dir(tmp_path)
-
-    def test_non_utf8_byte_names_the_file(self, tmp_path):
-        path = tmp_path / "v.landmarks"
-        path.write_bytes(SMALL_VIDEO_TEXT.encode() + b"\xff\xfe")
-        with pytest.raises(DataError) as excinfo:
-            read_video_dir(tmp_path)
-        assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {len(SMALL_VIDEO_TEXT)})"
-
-
-class TestFeatureCsv:
-    def test_80_videos_make_1680_rows(self, tmp_path):
-        videos = generate_dataset(default_profiles(), videos_per_profile=20, frames=10, seed=0)
-        features = [compute_variances(v) for v in videos]
-        path = tmp_path / "features.csv"
-        write_feature_csv(features, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == FEATURE_CSV_HEADER
-        assert len(lines) - 1 == 1680
-
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(2)
-        from gesturemix import FeatureMatrix
-
-        features = [
-            FeatureMatrix(rows=rng.random((21, 3)), source_id=f"v{i}",
-                          label="wave" if i % 2 else None)
-            for i in range(5)
-        ]
-        path = tmp_path / "f.csv"
-        write_feature_csv(features, path)
-        back = read_feature_csv(path)
-        assert len(back) == 5
-        for orig, loaded in zip(features, back):
-            assert np.array_equal(orig.rows, loaded.rows)
-            assert loaded.source_id == orig.source_id
-            assert loaded.label == orig.label
-
-    def test_golden_bytes(self, tmp_path):
-        from gesturemix import FeatureMatrix
-
-        rows = np.full((21, 3), 0.1)
-        rows[0] = [1 / 3, -0.0, 1e-300]
-        rows[20] = [123456789.125, 7.0, 5e-324]
-        features = [
-            FeatureMatrix(rows=rows, source_id="v1", label="wave"),
-            FeatureMatrix(rows=np.full((21, 3), 2.5), source_id="v2"),
-        ]
-        path = tmp_path / "g.csv"
-        write_feature_csv(features, path)
-        tenth = "0.10000000000000001"
-        expected = [FEATURE_CSV_HEADER, "1,0.33333333333333331,-0,1e-300,v1,wave"]
-        expected += [f"{lm},{tenth},{tenth},{tenth},v1,wave" for lm in range(2, 21)]
-        expected += ["21,123456789.125,7,4.9406564584124654e-324,v1,wave"]
-        expected += [f"{lm},2.5,2.5,2.5,v2," for lm in range(1, 22)]
-        assert path.read_text() == "\n".join(expected) + "\n"
-
-    def test_empty_list_round_trips(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_feature_csv([], path)
-        assert path.read_text() == FEATURE_CSV_HEADER + "\n"
-        assert read_feature_csv(path) == []
-
-    def test_row_count_must_be_multiple_of_21(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        lines = [FEATURE_CSV_HEADER, "1,0.0,0.0,0.0,v0,wave"]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="multiple of 21"):
-            read_feature_csv(path)
-
-    def test_non_numeric_cell_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,oops,0.0,v0,wave" for i in range(21)]
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError, match="non-numeric") as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"non-numeric value 'oops' in {path}:2"
-
-    def test_nan_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,nan,0.0,v0,wave" for i in range(21)]
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError, match="NaN"):
-            read_feature_csv(path)
-
-    def test_fractional_landmark_number_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
-        rows[0] = "1.5,0.0,0.0,0.0,v0,wave"
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}:2: lm=1.5, expected 1"
-
-    def test_source_id_change_mid_block_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v{i // 20},wave" for i in range(21)]
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError, match="source_id"):
-            read_feature_csv(path)
-
-    def test_label_change_mid_block_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,{'wave' if i < 10 else 'push'}" for i in range(21)]
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}:12: source_id or label changes mid-video"
-
-    @pytest.mark.parametrize("cells", [5, 7])
-    def test_wrong_cell_count_rejected(self, tmp_path, cells):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
-        rows[3] = ",".join(rows[3].split(",")[:cells] + ["x"] * (cells - 6))
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}:5: expected 6 values, got {cells}"
-
-    @pytest.mark.parametrize("cell, message", [
-        ("inf", "NaN or infinite feature value"),
-        ("1e999", "NaN or infinite feature value"),
-        ("-1", "negative variance"),
-    ])
-    def test_out_of_range_variance_names_file_and_row(self, tmp_path, cell, message):
-        path = tmp_path / "bad.csv"
-        rows = [f"{i % 21 + 1},0.0,0.0,0.0,v{i // 21},wave" for i in range(42)]
-        rows[30] = f"10,0.0,{cell},0.0,v1,wave"
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}:23: {message} in 'v1'"
-
-    def test_rows_are_numbered_by_physical_line(self, tmp_path):
-        path = tmp_path / "blank.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
-        rows[10] = "11,0.0,oops,0.0,v0,wave"
-        path.write_text("\n".join([FEATURE_CSV_HEADER, "", ""] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"non-numeric value 'oops' in {path}:14"
-
-    @pytest.mark.parametrize("faults, expected", [
-        ({1: "2,0.0,x,0.0,v0,wave", 8: "9,0.0,0.0,v0,wave"}, "non-numeric value 'x' in {path}:3"),
-        ({4: "5,0.0,0.0,0.0,v0,push", 18: "7,0.0,0.0,0.0,v0,wave"},
-         "{path}:6: source_id or label changes mid-video"),
-        ({2: "4,0.0,0.0,0.0,v0,wave", 3: "4,0.0,0.0,0.0,v1,wave"}, "{path}:4: lm=4, expected 3"),
-    ], ids=["number-before-cell-count", "names-before-lm", "lm-before-names"])
-    def test_the_first_bad_line_is_named_whatever_its_rule(self, tmp_path, faults, expected):
-        # each file breaks two rules; the one reported is on the earlier line
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
-        for i, row in faults.items():
-            rows[i] = row
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == expected.format(path=path)
-
-    def test_misplaced_line_break_is_named_by_its_cell_count(self, tmp_path):
-        # a 7-cell row then a 5-cell one: the file's cells still line up in sixes
-        path = tmp_path / "bad.csv"
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
-        rows[2:4] = ["3,0.0,0.0,0.0,v0,wave,4", "0.0,0.0,0.0,v0,wave"]
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}:4: expected 6 values, got 7"
-
-    def test_feature_matrix_checks_follow_layout_and_numbers(self, tmp_path):
-        # a negative variance in the first video, a bad number in the second
-        path = tmp_path / "bad.csv"
-        rows = [f"{i % 21 + 1},0.0,0.0,0.0,v{i // 21},wave" for i in range(42)]
-        rows[3] = "4,0.0,-1,0.0,v0,wave"
-        rows[30] = "10,0.0,oops,0.0,v1,wave"
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        assert read_error(read_feature_csv, path) == f"non-numeric value 'oops' in {path}:32"
-        rows[30] = "10,0.0,0.5,0.0,v1,wave"
-        path.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        assert read_error(read_feature_csv, path) == f"{path}:2: negative variance in 'v0'"
-
-    @pytest.mark.parametrize("fault, expected", [
-        ("cells", "{path}:{line}: expected {count} values, got {got}"),
-        ("number", "non-numeric value 'x' in {path}:{line}"),
-    ], ids=["cells", "number"])
-    def test_both_readers_name_a_fault_alike(self, tmp_path, fault, expected):
-        # the same fault on line 5 of a landmark file and of a feature CSV
-        videos, csv = tmp_path / "videos", tmp_path / "bad.csv"
-        videos.mkdir()
-        frame = ["0.5"] * 63
-        bad_frame = frame[:-1] if fault == "cells" else frame[:-1] + ["x"]
-        video = write_body(videos, [",".join(frame), ",".join(bad_frame)])
-        rows = [f"{i + 1},0.0,0.0,0.0,v0,wave" for i in range(21)]
-        rows[3] = "4,0.0,0.0,v0,wave" if fault == "cells" else "4,0.0,0.0,x,v0,wave"
-        csv.write_text("\n".join([FEATURE_CSV_HEADER] + rows) + "\n")
-        assert read_error(read_video_dir, videos) == expected.format(
-            path=video, line=5, count=63, got=62
-        )
-        assert read_error(read_feature_csv, csv) == expected.format(
-            path=csv, line=5, count=6, got=5
-        )
-
-    def test_non_utf8_byte_names_the_file(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_bytes(SMALL_CSV_TEXT.encode() + b"\xff\xfe")
-        with pytest.raises(DataError) as excinfo:
-            read_feature_csv(path)
-        assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {len(SMALL_CSV_TEXT)})"
-
-
-class TestModelFiles:
-    def test_numeric_round_trip_is_bit_exact(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.params.k == model.params.k
-        assert back.config == model.config
-        assert np.array_equal(back.stats.mean, model.stats.mean)
-        assert np.array_equal(back.stats.std, model.stats.std)
-        assert np.array_equal(back.params.weights, model.params.weights)
-        assert np.array_equal(back.params.means, model.params.means)
-        assert np.array_equal(back.params.covs, model.params.covs)
-        assert back.label_map.labels == model.label_map.labels
-        assert back.label_map.confidence == model.label_map.confidence
-        assert back.final_log_likelihood == model.final_log_likelihood
-        assert back.silhouette == model.silhouette
-
-    def test_reloaded_model_classifies_identically(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        back = load_model(path)
-        videos = generate_dataset(default_profiles(), videos_per_profile=5, frames=30, seed=77)
-        for video in videos:
-            feat = compute_variances(video)
-            a = classify_video(feat, model.params, model.label_map, model.stats)
-            b = classify_video(feat, back.params, back.label_map, back.stats)
-            assert a == b
-
-    def test_truncated_file_names_missing_section(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        text = path.read_text().splitlines()
-        truncated = tmp_path / "t.gmm"
-        truncated.write_text("\n".join(text[: len(text) // 2]) + "\n")
-        with pytest.raises(ModelFormatError) as excinfo:
-            load_model(truncated)
-        assert excinfo.value.field is not None
-
-    def test_non_utf8_byte_is_a_format_error_naming_the_file(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        size = path.stat().st_size
-        path.write_bytes(path.read_bytes() + b"\xff\xfe")
-        with pytest.raises(ModelFormatError) as excinfo:
-            load_model(path)
-        assert str(excinfo.value) == f"{path}: not UTF-8 text (byte {size})"
-
-    def test_bad_weight_sum_rejected(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        edited = []
-        for line in lines:
-            if line.startswith("weights="):
-                edited.append("weights=" + ",".join(["0.2"] * 4))  # sums to 0.8
-            else:
-                edited.append(line)
-        bad = tmp_path / "bad.gmm"
-        bad.write_text("\n".join(edited) + "\n")
-        with pytest.raises(ModelFormatError, match="weights"):
-            load_model(bad)
-
-    def test_version_mismatch_rejected(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        lines[0] = "gesture-gmm-model v1"
-        bad = tmp_path / "bad.gmm"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match="version"):
-            load_model(bad)
-
-    def test_negative_std_rejected(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        edited = [
-            "norm_std=1.0,-1.0,1.0" if line.startswith("norm_std=") else line for line in lines
-        ]
-        bad = tmp_path / "bad.gmm"
-        bad.write_text("\n".join(edited) + "\n")
-        with pytest.raises(ModelFormatError, match="norm_std"):
-            load_model(bad)
-
-    def test_broken_covariance_rejected(self, tmp_path, trained):
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        hit = False
-        edited = []
-        for line in lines:
-            if line.startswith("cov=") and not hit:
-                values = [float(v) for v in line[len("cov="):].split(",")]
-                values[0] = -abs(values[0]) - 1.0  # negative variance: not PD
-                edited.append("cov=" + ",".join(f"{v:.17g}" for v in values))
-                hit = True
-            else:
-                edited.append(line)
-        bad = tmp_path / "bad.gmm"
-        bad.write_text("\n".join(edited) + "\n")
-        with pytest.raises(ModelFormatError, match="component 0"):
-            load_model(bad)
-
-    def test_broken_covariance_error_names_its_component(self, tmp_path, trained):
-        # the factorization runs on all components at once; the error must
-        # still point at the one that failed
-        model, _, _ = trained
-        path = tmp_path / "m.gmm"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        at = lines.index("component=2") + 4
-        assert lines[at].startswith("cov=")
-        lines[at] = "cov=" + ",".join(["1", "0", "0", "0", "-1", "0", "0", "0", "1"])
-        bad = tmp_path / "bad.gmm"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match="component 2"):
-            load_model(bad)
-
-
-# A small fixed model and the exact v2 text it is saved as.
 SMALL_MODEL = ModelFile(
     config=EmConfig(k=2),
     params=MixtureParams(
@@ -553,6 +98,249 @@ mean=1,2,3
 cov=2,0,0,0,3,0,0,0,4
 end
 """
+
+
+def write_file(path, content):
+    """Write `content` to `path`: a str as UTF-8 text, bytes as they are."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
+def video_text(*rows, names="source_id=x\n"):
+    """A landmark file of the given name lines and body lines."""
+    return "gesture-landmarks v1\n" + names + "".join(f"{row}\n" for row in rows)
+
+
+# Each malformed landmark file (None: no file at all) and the exact error
+# read_video_dir raises for it, naming the file as {path} or its directory as {dir}.
+VIDEO_ERRORS = [
+    pytest.param(None, "no *.landmarks files in {dir}", id="no-file"),
+    pytest.param("not-a-video\nsource_id=x\n", "{path}: missing 'gesture-landmarks v1' header",
+                 id="header"),
+    pytest.param(video_text(FRAME_ROW, FRAME_ROW, names="label=wave\n"),
+                 "{path}: missing source_id line", id="source-id-line"),
+    pytest.param(video_text(FRAME_ROW, *[",".join(["0.0"] * 60 + ["1e", "0.0", "abc"])] * 2),
+                 "non-numeric value '1e' in {path}:4", id="number"),
+    # blank lines are skipped but counted
+    pytest.param(video_text(FRAME_ROW, "", FRAME_ROW, "", "1,2"),
+                 "{path}:7: expected 63 values, got 2", id="cells-after-blank-lines"),
+    pytest.param(video_text(FRAME_ROW), "{path}: a gesture video needs at least 2 frames",
+                 id="one-frame"),
+    *[
+        pytest.param(video_text(FRAME_ROW, f"{cell},{FRAME_ROW[len('0.5,'):]}"),
+                     "{path}: non-finite landmark coordinate in 'x'", id=cell)
+        for cell in ("inf", "-inf", "nan", "1e999")
+    ],
+    pytest.param(video_text(FRAME_ROW, FRAME_ROW, names="source_id=\nlabel=wave\n"),
+                 "{path}: source_id is empty", id="empty-source-id"),
+    pytest.param(video_text(FRAME_ROW, FRAME_ROW, names="source_id=v\nlabel=\n"),
+                 "{path}: label is empty", id="empty-label"),
+    pytest.param(SMALL_VIDEO_TEXT.encode() + b"\xff\xfe",
+                 f"{{path}}: not UTF-8 text (byte {len(SMALL_VIDEO_TEXT)})", id="utf-8"),
+]
+
+
+class TestVideoFiles:
+    @pytest.mark.parametrize("content, error", VIDEO_ERRORS)
+    def test_malformed_file_is_a_data_error(self, tmp_path, content, error):
+        path = tmp_path / "v.landmarks"
+        if content is not None:
+            write_file(path, content)
+        assert read_error(read_video_dir, tmp_path) == error.format(path=path, dir=tmp_path)
+
+    def test_golden_bytes(self, tmp_path):
+        frames = np.full((2, 21, 3), 0.1)
+        frames[0, -1] = [1 / 3, -0.0, 1e-300]
+        frames[1] = 2.5
+        frames[1, -1] = [123456789.125, -7.0, 5e-324]
+        path = tmp_path / "g.landmarks"
+        write_video(GestureVideo(frames=frames, source_id="g1", label="wave"), path)
+        assert path.read_text() == (
+            "gesture-landmarks v1\nsource_id=g1\nlabel=wave\n"
+            + ",".join(["0.10000000000000001"] * 60 + ["0.33333333333333331", "-0", "1e-300"])
+            + "\n"
+            + ",".join(["2.5"] * 60 + ["123456789.125", "-7", "4.9406564584124654e-324"])
+            + "\n"
+        )
+
+    def test_directory_reader_sorts_by_filename(self, tmp_path):
+        for name in ("b", "a", "c"):
+            write_video(
+                generate_video(default_profiles()[0], frames=5, seed=ord(name), source_id=name),
+                tmp_path / f"{name}.landmarks",
+            )
+        videos = read_video_dir(tmp_path)
+        assert [v.source_id for v in videos] == ["a", "b", "c"]
+
+
+def feature_csv(edits=None, videos=1, blank_lines=0):
+    """A feature CSV of `videos` all-zero videos v0, v1, ... labelled wave, row i
+    replaced by edits[i], with `blank_lines` blank lines after the header."""
+    rows = [f"{i % 21 + 1},0.0,0.0,0.0,v{i // 21},wave" for i in range(21 * videos)]
+    for i, row in (edits or {}).items():
+        rows[i] = row
+    return "\n".join([FEATURE_CSV_HEADER] + [""] * blank_lines + rows) + "\n"
+
+
+# Each malformed feature CSV and the exact error read_feature_csv raises for it.
+CSV_ERRORS = [
+    pytest.param("lm,x\n", f"{{path}}: missing '{FEATURE_CSV_HEADER}' header", id="header"),
+    pytest.param(f"{FEATURE_CSV_HEADER}\n1,0.0,0.0,0.0,v0,wave\n",
+                 "{path}: 1 data rows is not a multiple of 21", id="row-count"),
+    pytest.param(feature_csv({0: "1,0.0,oops,0.0,v0,wave"}),
+                 "non-numeric value 'oops' in {path}:2", id="number"),
+    pytest.param(feature_csv({10: "11,0.0,oops,0.0,v0,wave"}, blank_lines=2),
+                 "non-numeric value 'oops' in {path}:14", id="lines-numbered-with-blanks"),
+    pytest.param(feature_csv({0: "1,0.0,nan,0.0,v0,wave"}),
+                 "{path}:2: NaN or infinite feature value in 'v0'", id="nan"),
+    *[
+        pytest.param(feature_csv({30: f"10,0.0,{cell},0.0,v1,wave"}, videos=2),
+                     f"{{path}}:23: {message} in 'v1'", id=cell)
+        for cell, message in (
+            ("inf", "NaN or infinite feature value"),
+            ("1e999", "NaN or infinite feature value"),
+            ("-1", "negative variance"),
+        )
+    ],
+    pytest.param(feature_csv({0: "1.5,0.0,0.0,0.0,v0,wave"}), "{path}:2: lm=1.5, expected 1",
+                 id="fractional-lm"),
+    pytest.param(feature_csv({20: "21,0.0,0.0,0.0,v1,wave"}),
+                 "{path}:22: source_id or label changes mid-video", id="source-id-change"),
+    pytest.param(feature_csv({i: f"{i + 1},0.0,0.0,0.0,v0,push" for i in range(10, 21)}),
+                 "{path}:12: source_id or label changes mid-video", id="label-change"),
+    pytest.param(feature_csv({3: "4,0.0,0.0,0.0,v0"}), "{path}:5: expected 6 values, got 5",
+                 id="5-cells"),
+    pytest.param(feature_csv({3: "4,0.0,0.0,0.0,v0,wave,x"}),
+                 "{path}:5: expected 6 values, got 7", id="7-cells"),
+    # a 7-cell row then a 5-cell one: the file's cells still line up in sixes
+    pytest.param(feature_csv({2: "3,0.0,0.0,0.0,v0,wave,4", 3: "0.0,0.0,0.0,v0,wave"}),
+                 "{path}:4: expected 6 values, got 7", id="misplaced-line-break"),
+    # each of these files breaks two rules; the one reported is on the earlier line
+    pytest.param(feature_csv({1: "2,0.0,x,0.0,v0,wave", 8: "9,0.0,0.0,v0,wave"}),
+                 "non-numeric value 'x' in {path}:3", id="number-before-cell-count"),
+    pytest.param(feature_csv({4: "5,0.0,0.0,0.0,v0,push", 18: "7,0.0,0.0,0.0,v0,wave"}),
+                 "{path}:6: source_id or label changes mid-video", id="names-before-lm"),
+    pytest.param(feature_csv({2: "4,0.0,0.0,0.0,v0,wave", 3: "4,0.0,0.0,0.0,v1,wave"}),
+                 "{path}:4: lm=4, expected 3", id="lm-before-names"),
+    # a feature matrix's checks come after the whole file's layout and numbers
+    pytest.param(feature_csv({3: "4,0.0,-1,0.0,v0,wave", 30: "10,0.0,oops,0.0,v1,wave"}, 2),
+                 "non-numeric value 'oops' in {path}:32", id="number-before-matrix"),
+    pytest.param(feature_csv({3: "4,0.0,-1,0.0,v0,wave", 30: "10,0.0,0.5,0.0,v1,wave"}, 2),
+                 "{path}:2: negative variance in 'v0'", id="matrix"),
+    pytest.param(SMALL_CSV_TEXT.encode() + b"\xff\xfe",
+                 f"{{path}}: not UTF-8 text (byte {len(SMALL_CSV_TEXT)})", id="utf-8"),
+]
+
+
+class TestFeatureCsv:
+    @pytest.mark.parametrize("content, error", CSV_ERRORS)
+    def test_malformed_file_is_a_data_error(self, tmp_path, content, error):
+        path = tmp_path / "bad.csv"
+        write_file(path, content)
+        assert read_error(read_feature_csv, path) == error.format(path=path)
+
+    def test_golden_bytes(self, tmp_path):
+        rows = np.full((21, 3), 0.1)
+        rows[0] = [1 / 3, -0.0, 1e-300]
+        rows[20] = [123456789.125, 7.0, 5e-324]
+        features = [
+            FeatureMatrix(rows=rows, source_id="v1", label="wave"),
+            FeatureMatrix(rows=np.full((21, 3), 2.5), source_id="v2"),
+        ]
+        path = tmp_path / "g.csv"
+        write_feature_csv(features, path)
+        tenth = "0.10000000000000001"
+        expected = [FEATURE_CSV_HEADER, "1,0.33333333333333331,-0,1e-300,v1,wave"]
+        expected += [f"{lm},{tenth},{tenth},{tenth},v1,wave" for lm in range(2, 21)]
+        expected += ["21,123456789.125,7,4.9406564584124654e-324,v1,wave"]
+        expected += [f"{lm},2.5,2.5,2.5,v2," for lm in range(1, 22)]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_empty_list_round_trips(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_feature_csv([], path)
+        assert path.read_text() == FEATURE_CSV_HEADER + "\n"
+        assert read_feature_csv(path) == []
+
+    @pytest.mark.parametrize("fault, expected", [
+        ("cells", "{path}:{line}: expected {count} values, got {got}"),
+        ("number", "non-numeric value 'x' in {path}:{line}"),
+    ], ids=["cells", "number"])
+    def test_both_readers_name_a_fault_alike(self, tmp_path, fault, expected):
+        # the same fault on line 5 of a landmark file and of a feature CSV
+        videos, csv = tmp_path / "videos", tmp_path / "bad.csv"
+        videos.mkdir()
+        frame = ["0.5"] * 63
+        bad_frame = frame[:-1] if fault == "cells" else frame[:-1] + ["x"]
+        video = write_body(videos, [",".join(frame), ",".join(bad_frame)])
+        csv.write_text(feature_csv({3: "4,0.0,0.0,v0,wave" if fault == "cells"
+                                    else "4,0.0,0.0,x,v0,wave"}))
+        assert read_error(read_video_dir, videos) == expected.format(
+            path=video, line=5, count=63, got=62
+        )
+        assert read_error(read_feature_csv, csv) == expected.format(
+            path=csv, line=5, count=6, got=5
+        )
+
+
+def model_text(old, new):
+    """SMALL_MODEL_TEXT with its line `old` replaced by `new`."""
+    assert f"\n{old}\n" in SMALL_MODEL_TEXT
+    return SMALL_MODEL_TEXT.replace(f"\n{old}\n", f"\n{new}\n")
+
+
+# Each malformed model file, the exact error load_model raises for it and the
+# field that error names.
+MODEL_ERRORS = [
+    pytest.param(SMALL_MODEL_TEXT.replace(" v2\n", " v1\n"),
+                 "{path}: missing or unsupported version header (want 'gesture-gmm-model v2') "
+                 "(field: version)", "version", id="version"),
+    pytest.param("\n".join(SMALL_MODEL_TEXT.splitlines()[:12]) + "\n",
+                 "{path}: file ends before 'weights' (field: weights)", "weights", id="truncated"),
+    pytest.param(SMALL_MODEL_TEXT.encode() + b"\xff\xfe",
+                 f"{{path}}: not UTF-8 text (byte {len(SMALL_MODEL_TEXT)})", None, id="utf-8"),
+    *[
+        pytest.param(model_text(f"{key}=9.9999999999999995e-07", f"{key}=inf"),
+                     f"{{path}}: {message} (field: config)", "config", id=key)
+        for key, message in (
+            ("tol", "tol must be positive and finite"),
+            ("reg_eps", "reg_eps must be non-negative and finite"),
+        )
+    ],
+    pytest.param(model_text("iterations=7", "iterations=-1"),
+                 "{path}: iterations must be at least 0 (field: iterations)", "iterations",
+                 id="negative-iterations"),
+    pytest.param(model_text("norm_std=1,2,4", "norm_std=1,-1,4"),
+                 "{path}: normalization stds must be strictly positive (field: norm_mean/norm_std)",
+                 "norm_mean/norm_std", id="negative-std"),
+    pytest.param(model_text("norm_std=1,2,4", "norm_std=nan,2,4"),
+                 "{path}: non-finite normalization stats (field: norm_mean/norm_std)",
+                 "norm_mean/norm_std", id="nan-std"),
+    pytest.param(model_text("weights=0.25,0.75", "weights=0.25,0.55"),
+                 "{path}: mixing weights sum to 0.8, expected 1 within 1e-12 "
+                 "(field: weights/components)", "weights/components", id="weight-sum"),
+    pytest.param(model_text("weights=0.25,0.75", "weights=0.25,0.75000000005"),
+                 "{path}: mixing weights sum to 1.00000000005, expected 1 within 1e-12 "
+                 "(field: weights/components)", "weights/components", id="weights-off-by-5e-11"),
+    pytest.param(model_text("weights=0.25,0.75", "weights=nan,0.75"),
+                 "{path}: mixing weights must lie in [0, 1] (field: weights/components)",
+                 "weights/components", id="nan-weight"),
+    # the factorization runs on all components at once; the error names the one that failed
+    *[
+        pytest.param(model_text(cov, "cov=1,0,0,0,-1,0,0,0,1"),
+                     f"{{path}}: component {i} covariance is not positive-definite "
+                     "(field: weights/components)", "weights/components", id=f"cov-{i}")
+        for i, cov in enumerate(("cov=1,0,0,0,1,0,0,0,1", "cov=2,0,0,0,3,0,0,0,4"))
+    ],
+    *[
+        pytest.param(SMALL_MODEL_TEXT + tail,
+                     "{path}: content after the 'end' sentinel (field: end)", "end",
+                     id=f"after-end-{n}")
+        for n, tail in enumerate(("k=9\ngarbage\n", "end\n", "\n\ncomponent=2\n"))
+    ],
+]
 
 
 @pytest.fixture(scope="module")
@@ -632,26 +420,18 @@ def model_files(draw):
 
 
 class TestModelFormat:
+    @pytest.mark.parametrize("content, error, field", MODEL_ERRORS)
+    def test_malformed_file_is_a_format_error(self, tmp_path, content, error, field):
+        path = tmp_path / "m.gmm"
+        write_file(path, content)
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert (str(excinfo.value), excinfo.value.field) == (error.format(path=path), field)
+
     def test_small_model_golden_bytes(self, tmp_path):
         path = tmp_path / "m.gmm"
         save_model(SMALL_MODEL, path)
         assert path.read_text() == SMALL_MODEL_TEXT
-
-    def test_nan_weight_is_a_format_error(self, tmp_path):
-        path = tmp_path / "m.gmm"
-        path.write_text(SMALL_MODEL_TEXT.replace("weights=0.25,0.75", "weights=nan,0.75"))
-        with pytest.raises(ModelFormatError, match="weights") as excinfo:
-            load_model(path)
-        assert "weights" in excinfo.value.field
-
-    def test_weights_off_by_more_than_1e_12_are_a_format_error(self, tmp_path):
-        path = tmp_path / "m.gmm"
-        line = "weights=0.25,0.75000000005"
-        path.write_text(SMALL_MODEL_TEXT.replace("weights=0.25,0.75", line))
-        with pytest.raises(ModelFormatError, match="expected 1 within 1e-12") as excinfo:
-            load_model(path)
-        assert "weights" in excinfo.value.field
-        assert "np.float64" not in str(excinfo.value)
 
     def test_weights_within_1e_12_load_exactly_as_written(self, tmp_path):
         # 0.7500000000001 as the writer spells it, in 17 significant digits
@@ -662,31 +442,6 @@ class TestModelFormat:
         assert model.params.weights.tobytes() == np.array([0.25, 0.7500000000001]).tobytes()
         save_model(model, path)
         assert line in path.read_text().splitlines()
-
-    def test_non_finite_norm_std_is_a_format_error(self, tmp_path):
-        path = tmp_path / "m.gmm"
-        path.write_text(SMALL_MODEL_TEXT.replace("norm_std=1,", "norm_std=nan,"))
-        with pytest.raises(ModelFormatError) as excinfo:
-            load_model(path)
-        assert str(excinfo.value).startswith(f"{path}: ")
-        assert "norm_std" in excinfo.value.field
-
-    @pytest.mark.parametrize("key", ["tol", "reg_eps"])
-    def test_infinite_tol_or_reg_eps_is_a_format_error(self, tmp_path, key):
-        path = tmp_path / "m.gmm"
-        default = f"\n{key}=9.9999999999999995e-07"
-        path.write_text(SMALL_MODEL_TEXT.replace(default, f"\n{key}=inf"))
-        with pytest.raises(ModelFormatError, match="finite") as excinfo:
-            load_model(path)
-        assert excinfo.value.field == "config"
-
-    @pytest.mark.parametrize("tail", ["k=9\ngarbage\n", "end\n", "\n\ncomponent=2\n"])
-    def test_line_after_end_is_a_format_error(self, tmp_path, tail):
-        path = tmp_path / "m.gmm"
-        path.write_text(SMALL_MODEL_TEXT + tail)
-        with pytest.raises(ModelFormatError, match="after the 'end' sentinel") as excinfo:
-            load_model(path)
-        assert excinfo.value.field == "end"
 
     def test_blank_lines_after_end_load(self, tmp_path):
         path = tmp_path / "m.gmm"
@@ -711,14 +466,7 @@ class TestModelFormat:
         with pytest.raises(DataError, match=f"^{field} must be a real number"):
             replace(SMALL_MODEL, **{field: value})
 
-    def test_negative_iterations_is_a_format_error_naming_its_field(self, tmp_path):
-        path = tmp_path / "m.gmm"
-        path.write_text(SMALL_MODEL_TEXT.replace("iterations=7", "iterations=-1"))
-        with pytest.raises(ModelFormatError) as excinfo:
-            load_model(path)
-        assert str(excinfo.value) == f"{path}: iterations must be at least 0 (field: iterations)"
-
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=300)
     @given(text=one_line_mutations())
     def test_one_line_mutation_loads_or_is_a_format_error(self, text, scratch_model_path):
         scratch_model_path.write_text(text)
@@ -727,25 +475,13 @@ class TestModelFormat:
         except ModelFormatError:
             pass
 
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=150)
     @given(model=model_files())
     def test_save_load_save_is_byte_identical(self, model, scratch_model_path):
         save_model(model, scratch_model_path)
         first = scratch_model_path.read_bytes()
         save_model(load_model(scratch_model_path), scratch_model_path)
         assert scratch_model_path.read_bytes() == first
-
-
-SMALL_VIDEO_TEXT = "\n".join(
-    ["gesture-landmarks v1", "source_id=v1", "label=wave"]
-    + [",".join([f"{frame}.5"] * 63) for frame in range(3)]
-) + "\n"
-
-SMALL_CSV_TEXT = "\n".join([FEATURE_CSV_HEADER] + [
-    f"{lm},0.5,1.5,2.5,{source_id},{label}"
-    for source_id, label in (("v1", "wave"), ("v2", "push"))
-    for lm in range(1, 22)
-]) + "\n"
 
 
 @st.composite
@@ -829,13 +565,13 @@ def loads_or_names_the_file(read, path, text):
 class TestReaderContract:
     """A reader either loads its input or raises a DataError naming the file."""
 
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=300)
     @given(text=reader_mutations(SMALL_VIDEO_TEXT))
     def test_mutated_video_loads_or_names_the_file(self, text, example_dir):
         path = example_dir / "v.landmarks"
         loads_or_names_the_file(lambda: read_video_dir(example_dir), path, text)
 
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=300)
     @given(text=reader_mutations(SMALL_CSV_TEXT))
     def test_mutated_feature_csv_loads_or_names_the_file(self, text, example_dir):
         path = example_dir / "m.csv"
@@ -847,7 +583,7 @@ class TestReaderContract:
         (example_dir / "f.csv").write_text(SMALL_CSV_TEXT)
         assert [f.label for f in read_feature_csv(example_dir / "f.csv")] == ["wave", "push"]
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(video=gesture_videos)
     def test_video_round_trip_is_bit_exact(self, video, example_dir):
         path = example_dir / "v.landmarks"
@@ -859,7 +595,7 @@ class TestReaderContract:
         write_video(back, path)
         assert path.read_bytes() == first
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(features=feature_matrix_lists())
     def test_feature_csv_round_trip_is_bit_exact(self, features, example_dir):
         path = example_dir / "rt.csv"
@@ -870,10 +606,6 @@ class TestReaderContract:
         assert [(f.source_id, f.label) for f in back] == [(f.source_id, f.label) for f in features]
         write_feature_csv(back, path)
         assert path.read_bytes() == first
-
-
-# One frame of a landmark file body.
-FRAME_ROW = ",".join(["0.5"] * 63)
 
 
 def body_with(cell: str, last: bool = False) -> list[str]:
@@ -943,7 +675,7 @@ class TestFastReadIsTheLineLoop:
     """numpy's reader parses a landmark body exactly as the line loop would:
     the same frames, bit for bit, or the same DataError."""
 
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=300)
     @given(rows=video_bodies())
     def test_generated_bodies(self, rows, example_dir):
         path = write_body(example_dir, rows)
@@ -973,7 +705,7 @@ class TestFastReadIsTheLineLoop:
         assert read_error(read_video_dir, example_dir) == f"{path}: non-finite landmark coordinate in 'v'"
 
     @pytest.mark.parametrize("rows, outcome", [
-        ([" ", FRAME_ROW, "\t", FRAME_ROW, "\xa0"], (2, 21, 3)),
+        ([" ", FRAME_ROW, "", "\t", FRAME_ROW, "\xa0"], (2, 21, 3)),
         ([FRAME_ROW], (1, 21, 3)),
         ([], (0, 21, 3)),
         ([FRAME_ROW[len("0.5,"):]] * 2, "{path}:4: expected 63 values, got 62"),
@@ -1054,13 +786,13 @@ class TestPlotExport:
             export_plot_data(rows, {alone: groups})
             assert path.read_bytes() == alone.read_bytes()
 
-    def test_exports_cross_check_with_classifier(self, tmp_path, trained):
+    def test_exports_cross_check_with_classifier(self, tmp_path, default_experiment):
         # confusion derived from the before/after exports must equal the
         # accuracy measured by classify_video on the same corpus
-        model, features, resp = trained
+        model, features = default_experiment["model"], default_experiment["features"]
+        assignment = default_experiment["assignment"]
         rows = np.vstack([f.rows for f in features])
         truth_groups = [f.label for f in features for _ in range(21)]
-        assignment = np.argmax(resp, axis=1)
         mapped = [model.label_map.labels[a] for a in assignment]
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"
         export_plot_data(rows, {before: truth_groups, after: mapped})

@@ -21,63 +21,6 @@ def test_coincident_far_clusters_score_one():
     assert np.all(report.per_point == 1.0)
 
 
-def test_identical_points_split_arbitrarily_score_zero():
-    data = np.ones((8, 3))
-    assignment = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    report = silhouette(data, assignment)
-    assert np.all(report.per_point == 0.0)
-    assert report.overall == 0.0
-
-
-def test_singleton_cluster_scores_zero():
-    data = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [9.0, 9.0, 9.0]])
-    assignment = np.array([0, 0, 1])
-    report = silhouette(data, assignment)
-    assert report.per_point[2] == 0.0
-
-
-def test_twelve_point_three_cluster_matches_oracle():
-    rng = np.random.default_rng(0)
-    data = np.vstack(
-        [
-            rng.normal(size=(4, 3), loc=0.0, scale=0.5),
-            rng.normal(size=(4, 3), loc=4.0, scale=0.5),
-            rng.normal(size=(4, 3), loc=-4.0, scale=0.5),
-        ]
-    )
-    assignment = np.repeat([0, 1, 2], 4)
-    report = silhouette(data, assignment)
-    oracle = brute_force_silhouette(data, assignment)
-    assert np.allclose(report.per_point, oracle, atol=1e-12, rtol=0)
-    assert report.overall == pytest.approx(np.mean(np.array(oracle)), abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_random_instances_match_oracle(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(10, 60))
-    k = int(rng.integers(2, 5))
-    data = rng.normal(size=(n, 3), scale=2.0)
-    assignment = rng.integers(0, k, size=n)
-    if len(np.unique(assignment)) < 2:
-        assignment[0] = 0
-        assignment[1] = 1
-    report = silhouette(data, assignment)
-    oracle = brute_force_silhouette(data, assignment)
-    assert np.allclose(report.per_point, oracle, atol=1e-12, rtol=0)
-
-
-def test_report_structure():
-    rng = np.random.default_rng(4)
-    data = np.vstack([rng.normal(size=(6, 3)), rng.normal(size=(6, 3), loc=5.0)])
-    assignment = np.array([0] * 6 + [3] * 6)  # non-contiguous cluster ids allowed
-    report = silhouette(data, assignment)
-    assert report.overall == pytest.approx(report.per_point.mean(), abs=1e-12)
-    assert np.all(report.per_point >= -1.0) and np.all(report.per_point <= 1.0)
-    assert list(report.clusters) == [0, 3]
-    assert report.per_cluster_mean[0] == pytest.approx(report.per_point[:6].mean(), abs=1e-12)
-
-
 def test_rigid_motion_invariance():
     rng = np.random.default_rng(8)
     data = rng.normal(size=(30, 3), scale=2.0)
@@ -294,7 +237,7 @@ class TestProcesses:
         assert_no_child_left()
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     points=st.lists(
         st.tuples(
@@ -320,7 +263,7 @@ _EDGE_FLOATS = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 1e154, 
 # cpus(2) sets the same CPU count for every example, and the forks made by one
 # example are counted from its start
 @settings(
-    max_examples=200, deadline=None, database=None, derandomize=True,
+    max_examples=200,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(

@@ -128,11 +128,6 @@ def test_wave_variance_dominates_z_by_amplitude_ratio():
     assert measured == pytest.approx(ratio, rel=0.25)
 
 
-def test_too_few_frames_rejected():
-    with pytest.raises(DataError):
-        generate_video(default_profiles()[0], frames=1, seed=0)
-
-
 def test_bad_profile_rejected():
     with pytest.raises(DataError):
         GestureProfile(name="x", axis_amplitudes=np.array([0.1, -0.1, 0.1]), noise_std=0.1)
@@ -175,10 +170,6 @@ class TestGenerateDataset:
         for va in a:
             for vb in b:
                 assert not np.array_equal(va.frames, vb.frames)
-
-    def test_videos_per_profile_validated(self):
-        with pytest.raises(DataError):
-            generate_dataset(default_profiles(), videos_per_profile=0, frames=10, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_seed_validated_before_anything_is_drawn(self, monkeypatch, seed):
