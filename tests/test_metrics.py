@@ -122,16 +122,19 @@ class TestBitIdenticalToPerPointLoop:
         rng.shuffle(assignment)
         _assert_same_as_per_point_loop(data, assignment)
 
-    @pytest.mark.parametrize("n", [600, 1024, 3000])
+    @pytest.mark.parametrize("largest", [600, 1024, 3000])
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_cluster_ending_on_a_block_end(self, n, blocks):
-        # cluster 0 holds exactly `blocks` whole blocks of rows, cluster 1 two members
-        rows = min(max(_BLOCK_BYTES // (8 * n), 8), 256)
-        rng = np.random.default_rng(n + blocks)
-        data = rng.normal(size=(n, 3))
-        assignment = np.repeat([0, 1, 2], [blocks * rows, 2, n - blocks * rows - 2])
-        rng.shuffle(assignment)
-        _assert_same_as_per_point_loop(data, assignment)
+    def test_cluster_ending_on_a_block_end(self, largest, blocks):
+        # every point of cluster 0 has cluster 1 as its candidate, and cluster
+        # 0 fills exactly `blocks` whole blocks; cluster 2, the largest, sets
+        # the block size
+        rows = min(max(_BLOCK_BYTES // (8 * largest), 8), 256)
+        rng = np.random.default_rng(largest + blocks)
+        assignment = np.repeat([0, 1, 2], [blocks * rows, 2, largest])
+        centres = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [40.0, 0.0, 0.0]])
+        data = centres[assignment] + rng.normal(size=(assignment.size, 3))
+        shuffled = rng.permutation(assignment.size)
+        _assert_same_as_per_point_loop(data[shuffled], assignment[shuffled])
 
     def test_singleton_clusters(self):
         rng = np.random.default_rng(13)
@@ -151,6 +154,47 @@ class TestBitIdenticalToPerPointLoop:
         assert np.all(report.per_point[:300] == 0.0)
         _assert_same_as_per_point_loop(data, assignment)
 
+
+    @pytest.mark.parametrize("offset", [1e6, 1e12])
+    def test_unit_spread_blobs_far_from_the_origin(self, offset):
+        rng = np.random.default_rng(18)
+        centres = rng.uniform(-5.0, 5.0, size=(4, 3))
+        assignment = rng.integers(0, 4, size=600)
+        _assert_same_as_per_point_loop(offset + centres[assignment] + rng.normal(size=(600, 3)), assignment)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-10])
+    def test_lower_bound_level_with_b(self, shift):
+        # seen from the origin, cluster 1 (x = 1.9 and 2.1) is the candidate;
+        # cluster 2 lies on the opposite ray (x = -1 and -3, plus `shift`), so
+        # its lower bound is its mean: level with b at shift 0, and at 1e-10
+        # below b by far less than the margin, holding the least mean
+        data = np.zeros((6, 3))
+        data[1:, :2] = [[0.0, 1.0], [1.9, 0.0], [2.1, 0.0], [-1.0 + shift, 0.0], [-3.0 + shift, 0.0]]
+        _assert_same_as_per_point_loop(data, np.array([0, 0, 1, 1, 2, 2]))
+
+    def test_separated_blobs_where_most_sums_are_skipped(self):
+        rng = np.random.default_rng(19)
+        centres = rng.uniform(-50.0, 50.0, size=(16, 3))
+        assignment = rng.integers(0, 16, size=3000)
+        _assert_same_as_per_point_loop(centres[assignment] + rng.normal(size=(3000, 3)), assignment)
+
+    def test_a_quarter_as_many_clusters_as_points(self):
+        # clusters of four: a block's bounds are B x K floats, and no (N, K)
+        # array is ever built, so memory stays linear in N
+        def tiny_clusters(n, seed):
+            rng = np.random.default_rng(seed)
+            centres = rng.uniform(-10.0, 10.0, size=(n // 4, 3)) * (n // 4) ** (1 / 3)
+            assignment = rng.permutation(np.arange(n) % (n // 4))
+            return centres[assignment] + rng.normal(size=(n, 3)), assignment
+
+        _assert_same_as_per_point_loop(*tiny_clusters(800, 20))
+        tracemalloc.start()
+        try:
+            silhouette(*tiny_clusters(4000, 21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4000 * 1000 / 4  # a quarter of one (N, K) float array
 
 class TestProcesses:
     def test_child_error_reaches_the_caller(self, cpus, monkeypatch):
@@ -202,6 +246,40 @@ class TestProcesses:
         assert len(forks) == 1
         assert_no_child_left()
         _assert_same_as_per_point_loop(data, assignment)  # underflow is ignored by default
+
+    def test_bounds_ignore_an_underflow_of_their_own(self, cpus, forks):
+        # as above, but the pair sits at its column's minimum, so the bounds,
+        # taken from the data shifted to its minimum, underflow too: before
+        # the fork, silently, while the child's block still raises
+        cpus(2)
+        rng = np.random.default_rng(16)
+        data = np.vstack([np.abs(rng.normal(size=(600, 3))), [[10.0, 10.0, 0.0], [10.0, 10.0, 1e-170]]])
+        assignment = np.append(np.zeros(600, dtype=int), [1, 1])
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="^underflow encountered in square$"):
+            silhouette(data, assignment)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_the_callers_numpy_state_is_kept(self, cpus, count):
+        # the distance tiles run under a smaller ufunc buffer and the bounds
+        # ignore underflow; neither outlives the call, returned or raised
+        cpus(count)
+        rng = np.random.default_rng(16)
+        data = np.vstack([rng.normal(size=(600, 3)), [[10.0, 10.0, 0.0], [10.0, 10.0, 1e-170]]])
+        assignment = np.append(np.zeros(600, dtype=int), [1, 1])
+        bufsize = np.setbufsize(2**14)
+        try:
+            with np.errstate(under="raise"):
+                state = np.getbufsize(), np.geterr()
+                with pytest.raises(FloatingPointError):
+                    silhouette(data, assignment)
+                assert (np.getbufsize(), np.geterr()) == state
+            state = np.getbufsize(), np.geterr()
+            silhouette(data, assignment)
+            assert (np.getbufsize(), np.geterr()) == state
+        finally:
+            np.setbufsize(bufsize)
 
     def test_a_childs_warning_made_an_error_is_its_items_error(self, cpus):
         # pyproject makes every warning an error: item 1 is the first child's,
