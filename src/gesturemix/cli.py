@@ -126,7 +126,7 @@ def cmd_train(args) -> int:
     row_labels = [f.label for f in features for _ in range(LANDMARK_COUNT)]
     stats = fit_normalization(raw_rows)
     data = apply_normalization(raw_rows, stats)
-    params, resp, trace = fit(data, config)
+    params, resp, trace = fit(data, config, row_labels)
     assignment = np.argmax(resp, axis=1)
     label_map = build_label_map(assignment, row_labels, params.k)
     unowned = sorted(set(distinct) - set(label_map.labels))

@@ -27,10 +27,13 @@ and the M-step re-estimates, with N_k = sum_n r_nk,
 which are the stationarity conditions of the log-likelihood
 L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k).
 
-EM finds a local maximum of L that depends on its start. `fit` screens further
-starts with short runs of EM (Biernacki, Celeux & Govaert 2003, "Choosing
-starting values for the EM algorithm...", CSDA 41), but only when the first
-start has not converged within the screen, so a quick fit costs nothing extra.
+EM finds a local maximum of L that depends on its start. Given one label per
+point and one component per label, the first start is the M-step of the
+labels (Basu, Banerjee & Mooney 2002, "Semi-supervised clustering by
+seeding", ICML). `fit` screens further starts with short runs of EM
+(Biernacki, Celeux & Govaert 2003, "Choosing starting values for the EM
+algorithm...", CSDA 41), but only when the first start has not converged
+within the screen, so a quick fit costs nothing extra.
 A start that fails numerically is abandoned, and the screen moves on; an
 E-step that leaves a component less than EMPTY_COMPONENT_MASS of
 responsibility is such a failure, so no M-step divides by an empty mass.
@@ -292,6 +295,15 @@ def initialize(data, config: EmConfig) -> MixtureParams:
     return MixtureParams(means=means, covs=covs, weights=weights)
 
 
+def _labelled_start(xt, labels, config: EmConfig, work) -> MixtureParams:
+    """Component j is the j-th distinct label in sorted order: the M-step of the
+    labels as hard responsibilities gives it the mean and population covariance
+    (restricted, plus reg_eps I) of that label's rows, and their share as weight."""
+    index = {label: j for j, label in enumerate(sorted(set(labels)))}
+    hard = np.eye(config.k)[[index[label] for label in labels]].T  # (K, N)
+    return _m_step(xt, hard, hard.sum(axis=1), config.reg_eps, config.covariance_mode, work)
+
+
 class _Run:
     """EM from one set of starting parameters, advanced on request.
 
@@ -335,18 +347,19 @@ def _start_seed(seed: int, start: int) -> int:
     return int(np.random.SeedSequence([seed, start]).generate_state(1)[0])
 
 
-def fit(data, config: EmConfig):
+def fit(data, config: EmConfig, labels=None):
     """Run EM until the log-likelihood change drops below tol or max_iters.
 
-    Start 0 is `initialize(data, config)`. If it has not converged after
-    S = min(_SCREEN_ITERS, max_iters) iterations, starts r = 1.._STARTS-1 run S
-    iterations each from `initialize` with seed _start_seed(config.seed, r); a
-    start replaces the best so far only when its log-likelihood then is higher
-    by more than _SCREEN_MARGIN * N, so ties keep the lower index. A start that
-    fails numerically, start 0 included, scores -inf and is passed over; if
-    every start fails, NumericalError names start 0's error. The best start
-    alone runs on to tol or max_iters, along the same path as if it had never
-    paused, and a failure there is raised.
+    Start 0 is `_labelled_start` when `labels`, one per row, has config.k
+    distinct values, and `initialize(data, config)` otherwise. If it has not
+    converged after S = min(_SCREEN_ITERS, max_iters) iterations, starts
+    r = 1.._STARTS-1 run S iterations each from `initialize` with seed
+    _start_seed(config.seed, r); a start replaces the best so far only when its
+    log-likelihood then is higher by more than _SCREEN_MARGIN * N, so ties keep
+    the lower index. A start that fails numerically, start 0 included, scores
+    -inf and is passed over; if every start fails, NumericalError names start
+    0's error. The best start alone runs on to tol or max_iters, along the same
+    path as if it had never paused, and a failure there is raised.
 
     Returns (MixtureParams, responsibility matrix, EmTrace); the responsibilities
     correspond to the returned parameters.
@@ -354,13 +367,20 @@ def fit(data, config: EmConfig):
     x = as_rows(data, config.k)  # before anything sized by K exists
     xt = _columns(x)
     n, d = x.shape
+    if labels is not None and len(labels) != n:
+        raise DataError(f"one label per data point required, got {len(labels)} for {n} points")
+    labelled = labels is not None and len(set(labels)) == config.k
     work = (np.empty((config.k, d, n)), np.empty((config.k, d, n)))
     screen = min(_SCREEN_ITERS, config.max_iters)
     best, best_ll, screened, errors = None, -np.inf, [], []
     for start in range(_STARTS):
         seed = _start_seed(config.seed, start) if start else config.seed
         try:
-            run = _Run(xt, initialize(x, replace(config, seed=seed)), config, work)
+            if start == 0 and labelled:
+                params = _labelled_start(xt, labels, config, work)
+            else:
+                params = initialize(x, replace(config, seed=seed))
+            run = _Run(xt, params, config, work)
             ll = run.advance(screen)
         except NumericalError as exc:
             errors.append(exc)

@@ -31,6 +31,9 @@ CALIBRATED_SILHOUETTE = 0.63481518184441477
 RECOVERY_MEANS = np.array(
     [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
 )
+# Criterion 03 moves every mean at least 17 from the origin, so a fit whose means
+# shrink toward it by 1 % (one point's weight in 100) misses the 0.1 bound.
+RECOVERY_OFFSET = np.full(3, 10.0)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -118,11 +121,11 @@ def test_criterion_02_mstep_stationarity():
 def test_criterion_03_mixture_recovery():
     hits = 0
     for seed in range(20):
-        x = _separated_instance(1000 + seed)
+        x = _separated_instance(1000 + seed) + RECOVERY_OFFSET
         params, _, _ = fit(x, EmConfig(k=4, seed=seed))
         fitted = params.means
         best = min(
-            max(np.linalg.norm(fitted[list(perm)] - RECOVERY_MEANS, axis=1))
+            max(np.linalg.norm(fitted[list(perm)] - (RECOVERY_MEANS + RECOVERY_OFFSET), axis=1))
             for perm in itertools.permutations(range(4))
         )
         hits += best < 0.1

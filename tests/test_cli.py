@@ -2,6 +2,7 @@ import ast
 import contextlib
 import inspect
 import io
+import itertools
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from gesturemix import (
     ClusterLabelMap,
     EmConfig,
     FeatureMatrix,
+    GestureProfile,
     GestureVideo,
     MixtureParams,
     NormalizationStats,
@@ -34,7 +36,7 @@ from gesturemix import (
 from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.io import (ModelFile, load_model, read_video_dir, save_model, write_feature_csv,
                            write_video)
-from gesturemix.synth import PROFILE_AMPLITUDES
+from gesturemix.synth import AMP_LARGE, AMP_MID, AMP_SMALL, NOISE_STD, PROFILE_AMPLITUDES
 
 
 def run(capsys, *argv):
@@ -195,7 +197,7 @@ class TestTrain:
         assert (out / "model.gmm").exists()
 
     def test_fit_converged_within_the_screen_writes_nothing_to_stderr(self, tmp_path, capsys):
-        make_corpus(tmp_path / "data")  # start 0 converges in 14 iterations
+        make_corpus(tmp_path / "data")  # the labels' start 0 converges in 3 iterations
         code, _, stderr = run(
             capsys, "train", "--input", str(tmp_path / "data"), "--output", str(tmp_path / "o")
         )
@@ -203,14 +205,16 @@ class TestTrain:
         assert stderr == ""
 
     def test_screened_fit_writes_one_note_and_no_warning(self, tmp_path, capsys):
-        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)  # 67 iterations
+        # the labels' start 0 has not converged after the screen's 30 iterations;
+        # it wins the screen and converges after 165
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
         out = tmp_path / "o"
         code, stdout, stderr = run(capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out))
         assert code == 0
         (note,) = stderr.splitlines()
         assert note.startswith("note: EM start 0 had not converged within its screen; starts 0-3 scored ")
         assert note.endswith("; kept start 0")
-        assert stdout.startswith("iterations=67\nconverged=true\n")
+        assert stdout.startswith("iterations=165\nconverged=true\n")
 
     def test_unconverged_fit_warns_on_stderr_only(self, tmp_path, capsys):
         make_corpus(tmp_path / "data")  # one iteration already gives every label a component
@@ -251,8 +255,8 @@ class TestTrain:
             assignment += [plan[video.label].pop(0)] * 21
         fit = cli.fit
 
-        def collapsed_fit(data, config):
-            params, _, trace = fit(data, config)
+        def collapsed_fit(data, config, labels):
+            params, _, trace = fit(data, config, labels)
             return params, np.eye(config.k)[assignment], trace
 
         monkeypatch.setattr(cli, "fit", collapsed_fit)
@@ -268,8 +272,8 @@ class TestTrain:
         assert not out.exists()  # no model.gmm, no plot export
 
     def test_seed_3_corpus_trains_every_label(self, tmp_path, capsys):
-        # start 0 collapses here (two components labelled wave, none stack);
-        # a screened restart finds one component per gesture
+        # a k-means++ start 0 collapses here (two components labelled wave, none
+        # stack); the labels' start finds one component per gesture unscreened
         videos = generate_dataset(default_profiles(), videos_per_profile=50, frames=150, seed=3)
         videos.sort(key=lambda v: v.source_id)  # the row order of the video directory
         csv = tmp_path / "features.csv"
@@ -280,11 +284,31 @@ class TestTrain:
         )
         assert code == 0
         assert "converged=true" in stdout
-        assert "warning" not in stderr
-        assert stderr.startswith("note: EM start 0 had not converged")
+        assert stderr == ""  # no warning and no screening note
         assert sorted(load_model(out / "model.gmm").label_map.labels) == [
             "pick", "push", "stack", "wave"
         ]
+
+    def test_eight_gestures_each_own_a_component(self, tmp_path, capsys):
+        # eight of the 27 profiles whose axis amplitudes each take AMP_SMALL, AMP_MID
+        # or AMP_LARGE; a k-means++ start 0 leaves g07 without a component here
+        triples = list(itertools.product((AMP_SMALL, AMP_MID, AMP_LARGE), repeat=3))
+        chosen = np.random.default_rng([8, 0]).choice(len(triples), size=8, replace=False)
+        profiles = [GestureProfile(name=f"g{i:02d}", axis_amplitudes=triples[j], noise_std=NOISE_STD)
+                    for i, j in enumerate(chosen)]
+        for name, seed in (("train", 0), ("held_out", 100)):
+            videos = generate_dataset(profiles, videos_per_profile=20, frames=150, seed=seed)
+            videos.sort(key=lambda v: v.source_id)
+            write_feature_csv([compute_variances(v) for v in videos], tmp_path / f"{name}.csv")
+        out = tmp_path / "o"
+        code, _, stderr = run(capsys, "train", "--input", str(tmp_path / "train.csv"), "--output", str(out))
+        assert code == 0, stderr
+        assert sorted(load_model(out / "model.gmm").label_map.labels) == [p.name for p in profiles]
+        code, stdout, _ = run(
+            capsys, "classify", "--model", str(out / "model.gmm"), "--input", str(tmp_path / "held_out.csv")
+        )
+        (accuracy,) = re.findall(r"^accuracy=(\S+) ", stdout, re.M)
+        assert code == 0 and float(accuracy) >= 0.94
 
     @pytest.mark.parametrize("module", ["gesturemix.cli", "gesturemix"])
     def test_overflowing_variance_is_data_error_without_numpy_warning(

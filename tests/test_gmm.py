@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -494,6 +495,32 @@ class TestScreenedStarts:
         assert trace.screened[1:] == [-np.inf] * 3
         assert trace.start == 0
         assert trace.log_likelihoods == expected[2].log_likelihoods
+
+
+class TestLabelledStart:
+    def test_fit_without_labels_or_with_another_k_is_unchanged(self, seed_3_corpus):
+        x, labels = seed_3_corpus
+        params, resp, trace = fit(x, EmConfig(k=4, seed=0))
+        digest = hashlib.sha256()
+        for array in (params.means, params.covs, params.weights, resp):
+            digest.update(array.tobytes())
+        digest.update(repr((trace.log_likelihoods, trace.converged, trace.start, trace.screened)).encode())
+        # the same bytes as the fit before `fit` took labels (screened, kept start 1)
+        assert digest.hexdigest() == "564fc9004ea8694979a985026f9b558a147abea55b50d6c03d58e7cc6f338b19"
+        config = EmConfig(k=5, seed=0)
+        assert same_fit(fit(x, config, labels), fit(x, config))
+
+    def test_singular_labelled_start_fails_start_0_only(self):
+        x = sample_mixture(np.random.default_rng(3), np.eye(3) * 4, 0.3, 100)
+        labels = ["a"] + ["b"] * 199 + ["c"] * 100  # "a" is one row: a zero covariance
+        params, resp, trace = fit(x, EmConfig(k=3, seed=0, reg_eps=0.0), labels)
+        assert trace.reseeds == [0] and len(trace.screened) == gmm._STARTS
+        assert trace.start != 0 and trace.converged
+
+    def test_one_label_per_row(self):
+        x = sample_mixture(np.random.default_rng(3), np.eye(3) * 4, 0.3, 10)
+        with pytest.raises(DataError, match="^one label per data point required, got 29 for 30 points$"):
+            fit(x, EmConfig(k=3, seed=0), ["a", "b", "c"] * 9 + ["a", "b"])
 
 
 class TestTrace:
