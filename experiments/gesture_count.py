@@ -8,15 +8,17 @@ g00, g01, ... in draw order. It trains on 20 videos per gesture (corpus seed
 = draw) through `gesturemix train` with its defaults (K = G, seed 0) and
 classifies 20 held-out videos per gesture (corpus seed = 100 + draw) with the
 model written. Per draw it records the exit code, the labels that own a
-component, the held-out accuracy (null when no model was written), the EM
-iterations, the seconds spent in `fit`, whether the restart screen ran and
-which start was kept. `fit` and `build_label_map` are wrapped where the CLI
-looks them up, so the script runs unchanged on any version of the package
-whose CLI calls them by those names. Needs only numpy and the standard
-library.
+component, the held-out accuracy and the sha256 of `model.gmm` (both null when
+no model was written), the EM iterations, the log-likelihood gained over the
+last 100 of them (null below 100), the seconds spent in `fit`, whether the
+restart screen ran and which start was kept. `fit` and `build_label_map` are
+wrapped where the CLI looks them up, so the script runs unchanged on any
+version of the package whose CLI calls them by those names. Needs only numpy
+and the standard library.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -87,17 +89,21 @@ def measure(g, draw, work):
     seen = {}
     with captured(seen):
         code, _ = run_cli("train", "--input", str(train_csv), "--output", str(model))
-    accuracy = None
+    accuracy = model_sha256 = None
     if code == 0:
+        model_sha256 = hashlib.sha256((model / "model.gmm").read_bytes()).hexdigest()
         _, stdout = run_cli("classify", "--model", str(model / "model.gmm"), "--input", str(held_out_csv))
         (line,) = [line for line in stdout.splitlines() if line.startswith("accuracy=")]
         accuracy = float(line.split()[0].split("=")[1])
     trace = seen["fit"][2]
+    lls = trace.log_likelihoods
     return {
         "g": g, "draw": draw, "exit_code": code,
         "labels_owned": len(set(seen["label_map"].labels)) if "label_map" in seen else None,
-        "held_out_accuracy": accuracy,
-        "iterations": trace.n_iters, "fit_s": round(seen["fit_s"], 4),
+        "held_out_accuracy": accuracy, "model_sha256": model_sha256,
+        "iterations": trace.n_iters,
+        "ll_gain_last_100": lls[-1] - lls[-101] if trace.n_iters >= 100 else None,
+        "fit_s": round(seen["fit_s"], 4),
         "screened": bool(trace.screened), "start_kept": trace.start,
     }
 

@@ -28,15 +28,14 @@ which are the stationarity conditions of the log-likelihood
 L = sum_n log sum_k pi_k N(x_n | mu_k, Sigma_k).
 
 EM finds a local maximum of L that depends on its start. Given one label per
-point and one component per label, the first start is the M-step of the
-labels (Basu, Banerjee & Mooney 2002, "Semi-supervised clustering by
-seeding", ICML). `fit` screens further starts with short runs of EM
-(Biernacki, Celeux & Govaert 2003, "Choosing starting values for the EM
-algorithm...", CSDA 41), but only when the first start has not converged
-within the screen, so a quick fit costs nothing extra.
-A start that fails numerically is abandoned, and the screen moves on; an
-E-step that leaves a component less than EMPTY_COMPONENT_MASS of
-responsibility is such a failure, so no M-step divides by an empty mass.
+point and one component per label, EM runs once, from the M-step of the labels
+(Basu, Banerjee & Mooney 2002, "Semi-supervised clustering by seeding", ICML).
+Without them, `fit` screens k-means++ starts with short runs of EM (Biernacki,
+Celeux & Govaert 2003, "Choosing starting values for the EM algorithm...",
+CSDA 41), but only when the first has not converged within the screen, so a
+quick fit costs nothing extra. A screened start that fails numerically is
+passed over; an E-step that leaves a component less than EMPTY_COMPONENT_MASS
+of responsibility is such a failure, so no M-step divides by an empty mass.
 """
 
 from dataclasses import dataclass, field, replace
@@ -52,8 +51,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # and the start that emptied it fails.
 EMPTY_COMPONENT_MASS = 1e-10
 
-# Restart screening in `fit`: when start 0 has not converged after
-# _SCREEN_ITERS iterations, starts 1.._STARTS-1 run as many, and one replaces
+# Restart screening of unlabelled starts in `fit`: when start 0 has not converged
+# after _SCREEN_ITERS iterations, starts 1.._STARTS-1 run as many, and one replaces
 # the best so far only when its log-likelihood is higher by more than
 # _SCREEN_MARGIN nats per data point. A relative margin keeps a start that
 # wins by an almost-empty "spike" component from displacing start 0.
@@ -173,7 +172,7 @@ class EmTrace:
     to 1e-9 slack). It, `n_iters` and `converged` describe the returned start,
     whose index is `start`. `screened` holds every screened start's
     log-likelihood at the end of its screen (-inf for a start that failed
-    numerically); it is empty when start 0 converged within the screen.
+    numerically); empty when start 0 was labelled or converged within the screen.
     """
 
     log_likelihoods: list[float] = field(default_factory=list)
@@ -295,11 +294,11 @@ def initialize(data, config: EmConfig) -> MixtureParams:
     return MixtureParams(means=means, covs=covs, weights=weights)
 
 
-def _labelled_start(xt, labels, config: EmConfig, work) -> MixtureParams:
+def _labelled_start(xt, labels, distinct, config: EmConfig, work) -> MixtureParams:
     """Component j is the j-th distinct label in sorted order: the M-step of the
     labels as hard responsibilities gives it the mean and population covariance
     (restricted, plus reg_eps I) of that label's rows, and their share as weight."""
-    index = {label: j for j, label in enumerate(sorted(set(labels)))}
+    index = {label: j for j, label in enumerate(distinct)}
     hard = np.eye(config.k)[[index[label] for label in labels]].T  # (K, N)
     return _m_step(xt, hard, hard.sum(axis=1), config.reg_eps, config.covariance_mode, work)
 
@@ -343,23 +342,21 @@ class _Run:
 
 
 def _start_seed(seed: int, start: int) -> int:
-    """The initialization seed of restart `start` >= 1 of a fit seeded `seed`."""
-    return int(np.random.SeedSequence([seed, start]).generate_state(1)[0])
+    """The initialization seed of start `start` of a fit seeded `seed`: `seed` for start 0."""
+    return int(np.random.SeedSequence([seed, start]).generate_state(1)[0]) if start else seed
 
 
 def fit(data, config: EmConfig, labels=None):
     """Run EM until the log-likelihood change drops below tol or max_iters.
 
-    Start 0 is `_labelled_start` when `labels`, one per row, has config.k
-    distinct values, and `initialize(data, config)` otherwise. If it has not
-    converged after S = min(_SCREEN_ITERS, max_iters) iterations, starts
-    r = 1.._STARTS-1 run S iterations each from `initialize` with seed
-    _start_seed(config.seed, r); a start replaces the best so far only when its
-    log-likelihood then is higher by more than _SCREEN_MARGIN * N, so ties keep
-    the lower index. A start that fails numerically, start 0 included, scores
-    -inf and is passed over; if every start fails, NumericalError names start
-    0's error. The best start alone runs on to tol or max_iters, along the same
-    path as if it had never paused, and a failure there is raised.
+    When `labels`, one per row, has config.k distinct values, EM runs once, from
+    `_labelled_start`, and a numerical failure is raised. Otherwise start r is
+    `initialize` seeded _start_seed(config.seed, r), and the starts are screened
+    for S = min(_SCREEN_ITERS, max_iters) iterations as set out at _STARTS; ties
+    keep the lower index. A start that fails numerically scores -inf and is
+    passed over; if every start fails, NumericalError names start 0's error. The
+    best start alone runs on to tol or max_iters, along the same path as if it
+    had never paused, and a failure there is raised.
 
     Returns (MixtureParams, responsibility matrix, EmTrace); the responsibilities
     correspond to the returned parameters.
@@ -369,17 +366,20 @@ def fit(data, config: EmConfig, labels=None):
     n, d = x.shape
     if labels is not None and len(labels) != n:
         raise DataError(f"one label per data point required, got {len(labels)} for {n} points")
-    labelled = labels is not None and len(set(labels)) == config.k
+    try:
+        distinct = sorted(set(() if labels is None else labels))
+    except TypeError as exc:  # an unhashable label, or labels that do not compare
+        raise DataError(f"row labels must be hashable and sortable: {exc}") from None
     work = (np.empty((config.k, d, n)), np.empty((config.k, d, n)))
+    if len(distinct) == config.k:
+        run = _Run(xt, _labelled_start(xt, labels, distinct, config, work), config, work)
+        run.advance(config.max_iters)
+        return run.params, run.resp.T, run.trace
     screen = min(_SCREEN_ITERS, config.max_iters)
     best, best_ll, screened, errors = None, -np.inf, [], []
     for start in range(_STARTS):
-        seed = _start_seed(config.seed, start) if start else config.seed
         try:
-            if start == 0 and labelled:
-                params = _labelled_start(xt, labels, config, work)
-            else:
-                params = initialize(x, replace(config, seed=seed))
+            params = initialize(x, replace(config, seed=_start_seed(config.seed, start)))
             run = _Run(xt, params, config, work)
             ll = run.advance(screen)
         except NumericalError as exc:

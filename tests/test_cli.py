@@ -196,25 +196,30 @@ class TestTrain:
         assert "warning: --k 5 differs from 4 distinct labels; proceeding\n" in stderr
         assert (out / "model.gmm").exists()
 
-    def test_fit_converged_within_the_screen_writes_nothing_to_stderr(self, tmp_path, capsys):
-        make_corpus(tmp_path / "data")  # the labels' start 0 converges in 3 iterations
-        code, _, stderr = run(
+    def test_labelled_fit_writes_nothing_to_stderr(self, tmp_path, capsys):
+        # the labels' start converges after 165 iterations, past a screen's 30, in one run
+        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
+        code, stdout, stderr = run(
             capsys, "train", "--input", str(tmp_path / "data"), "--output", str(tmp_path / "o")
         )
         assert code == 0
         assert stderr == ""
+        assert stdout.startswith("iterations=165\nconverged=true\n")
 
-    def test_screened_fit_writes_one_note_and_no_warning(self, tmp_path, capsys):
-        # the labels' start 0 has not converged after the screen's 30 iterations;
-        # it wins the screen and converges after 165
+    def test_screened_fit_writes_one_note(self, tmp_path, capsys):
+        # with --k 5 start 0 is k-means++ and has not converged after the screen's
+        # 30 iterations; it wins the screen and converges after 86
         make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
         out = tmp_path / "o"
-        code, stdout, stderr = run(capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out))
+        code, stdout, stderr = run(
+            capsys, "train", "--input", str(tmp_path / "data"), "--output", str(out), "--k", "5"
+        )
         assert code == 0
-        (note,) = stderr.splitlines()
+        warning, note = stderr.splitlines()
+        assert warning == "warning: --k 5 differs from 4 distinct labels; proceeding"
         assert note.startswith("note: EM start 0 had not converged within its screen; starts 0-3 scored ")
         assert note.endswith("; kept start 0")
-        assert stdout.startswith("iterations=165\nconverged=true\n")
+        assert stdout.startswith("iterations=86\nconverged=true\n")
 
     def test_unconverged_fit_warns_on_stderr_only(self, tmp_path, capsys):
         make_corpus(tmp_path / "data")  # one iteration already gives every label a component
@@ -303,6 +308,7 @@ class TestTrain:
         out = tmp_path / "o"
         code, _, stderr = run(capsys, "train", "--input", str(tmp_path / "train.csv"), "--output", str(out))
         assert code == 0, stderr
+        assert stderr == ""  # one run from the labels' start: no screening note
         assert sorted(load_model(out / "model.gmm").label_map.labels) == [p.name for p in profiles]
         code, stdout, _ = run(
             capsys, "classify", "--model", str(out / "model.gmm"), "--input", str(tmp_path / "held_out.csv")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -510,17 +511,36 @@ class TestLabelledStart:
         config = EmConfig(k=5, seed=0)
         assert same_fit(fit(x, config, labels), fit(x, config))
 
-    def test_singular_labelled_start_fails_start_0_only(self):
+    def test_labelled_fit_is_one_run(self, monkeypatch):
+        x, labels = gesture_rows(2, 20, 9)
+        monkeypatch.setattr(gmm, "initialize", None)  # no k-means++ start is built
+        params, resp, trace = fit(x, EmConfig(k=4, seed=0), labels)
+        assert trace.screened == [] and trace.start == 0
+        assert trace.converged and trace.n_iters == 165 > gmm._SCREEN_ITERS
+        digest = hashlib.sha256()
+        for array in (params.means, params.covs, params.weights, resp):
+            digest.update(array.tobytes())
+        digest.update(repr(trace.log_likelihoods).encode())
+        # the same bytes as when start 0 paused after 30 iterations and won a screen
+        assert digest.hexdigest() == "32ea8c0a4b2d6fc1852e7179dcd6321392c63870a33b037fed680dd0feb5a630"
+
+    def test_singular_labelled_start_is_a_numerical_error(self, monkeypatch):
         x = sample_mixture(np.random.default_rng(3), np.eye(3) * 4, 0.3, 100)
         labels = ["a"] + ["b"] * 199 + ["c"] * 100  # "a" is one row: a zero covariance
-        params, resp, trace = fit(x, EmConfig(k=3, seed=0, reg_eps=0.0), labels)
-        assert trace.reseeds == [0] and len(trace.screened) == gmm._STARTS
-        assert trace.start != 0 and trace.converged
+        monkeypatch.setattr(gmm, "initialize", None)  # no screen runs
+        with pytest.raises(NumericalError, match="^component 0 covariance is not positive-definite$"):
+            fit(x, EmConfig(k=3, seed=0, reg_eps=0.0), labels)
 
     def test_one_label_per_row(self):
         x = sample_mixture(np.random.default_rng(3), np.eye(3) * 4, 0.3, 10)
-        with pytest.raises(DataError, match="^one label per data point required, got 29 for 30 points$"):
-            fit(x, EmConfig(k=3, seed=0), ["a", "b", "c"] * 9 + ["a", "b"])
+        unusable = re.escape("row labels must be hashable and sortable: ")
+        for labels, pattern in (
+            (["a", "b", "c"] * 9 + ["a", "b"], "^one label per data point required, got 29 for 30 points$"),
+            ([["a"]] * 30, f"^{unusable}unhashable type: 'list'$"),
+            (["a", 1, "b"] * 10, f"^{unusable}'<' not supported between instances of "),
+        ):
+            with pytest.raises(DataError, match=pattern):
+                fit(x, EmConfig(k=3, seed=0), labels)
 
 
 class TestTrace:
