@@ -6,7 +6,7 @@ mapped components collect the most votes.
 """
 
 from collections import Counter
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError
 from .gmm import MixtureParams, e_step
 from .landmarks import (FeatureMatrix, NormalizationStats, apply_normalization, as_assignment,
-                        check_names, check_numbers)
+                        as_sequence, check_names, check_numbers)
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,8 @@ class ClusterLabelMap:
     distinct_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, value in (("labels", self.labels), ("confidence", self.confidence)):
-            try:
-                # a string, set or mapping iterates, but not as one entry per component
-                if isinstance(value, (str, bytes, Set, Mapping)):
-                    raise TypeError
-                object.__setattr__(self, name, tuple(value))
-            except TypeError:
-                raise DataError(f"{name} must be a sequence, got {value!r}") from None
+        for name in ("labels", "confidence"):
+            object.__setattr__(self, name, as_sequence(getattr(self, name), name))
         if len(self.labels) != len(self.confidence):
             raise DataError("one confidence value per cluster label required")
         if len(self.labels) < 1:

@@ -1,9 +1,10 @@
 """Versioned text formats: landmark videos, feature CSVs, trained models, plot data.
 
 Every file is UTF-8 text, written beside its target and renamed onto it, so a
-failed write leaves any previous file whole. All floats are serialized with 17
-significant digits so every round trip is bit-exact. A reader checks only the
-layout of its file; every range, shape and name rule is checked by the object
+failed write leaves any previous file whole. Every float is written as "%.17g"
+writes it, so every round trip is bit-exact: rows of floats by one numpy kernel,
+`_format_floats`, which hands what it cannot do to "%.17g" itself, and the model
+file's few floats by "%.17g". A reader checks only the layout of its file; every range, shape and name rule is checked by the object
 it builds, and `_checked` adds the file and line (or model field) to that
 object's error.
 
@@ -26,7 +27,8 @@ from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
 from .gmm import EmConfig, MixtureParams
 from .landmarks import (COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo,
-                        NormalizationStats, as_rows, check_names, check_numbers)
+                        NormalizationStats, as_rows, as_sequence, check_names,
+                        check_numbers)
 from .parallel import fan_out
 
 VIDEO_MAGIC = "gesture-landmarks v1"
@@ -79,10 +81,104 @@ def _checked(where, make, field: str | None = None):
         raise DataError(f"{where}: {exc}") from exc
 
 
-# Every float is written from this template, alone or in a row of them.
+# ---------------------------------------------------------------------------
+# Float text: every float is written as this template writes it
+
 _FLOAT = "%.17g"
-_FRAME_ROW = ",".join([_FLOAT] * (LANDMARK_COUNT * COORD_DIM))
-_VARIANCE_ROW = ",".join([_FLOAT] * COORD_DIM)
+_CHUNK = 10_000  # values formatted at a time, in whole rows
+_POW10 = np.array([float(10**k) for k in range(22)])  # each exact in float64
+
+
+def _halves(a):
+    """Veltkamp's split of a into two halves of 26 bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    return (high := t - (t - a)), a - high
+
+
+def _table(cells) -> np.ndarray:
+    """24-byte cells as the columns of a (3, len(cells)) table of uint64 words."""
+    return np.array([np.frombuffer(cell, "<u8") for cell in cells]).T.copy()
+
+
+# A value |x| = N * 10**(X - 16) with 10**16 <= N < 10**17 fills bytes 0-23 of
+# its cell: the sign at 0, N's 17 digits at 7-23, and for X < 0 "0." at 1-2 and
+# -1 - X more "0" just before the digits. For X >= 0 the X + 1 integer digits
+# move one byte down and the "." takes byte 7 + X; an integer has no ".", so
+# _MARKS repeats its 22 columns without it. Tables are indexed by X + 5 (X = -5
+# and 16 only when log10 is one off; N's range check catches those).
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+_KEPT = _table([bytes(7) + b"0" * n + bytes(17 - n) for n in range(18)])
+_DOT = [0] * 5 + list(range(7, 24))
+_MOVED = _table([b"\xff" * q + bytes(24 - q) for q in _DOT])
+_STAYED = _table([bytes(q + 1) + b"\xff" * (23 - q) for q in _DOT])
+_MARKS = _table([b"\0" + b"0." + bytes(5 + x) + b"0" * (-1 - x) + bytes(17) if x < 0
+                 else bytes(7 + x) + b"." * dot + bytes(17 - x - dot)
+                 for dot in (1, 0) for x in range(-5, 17)])
+
+
+def _cells(x) -> np.ndarray:
+    """Each value of x as a 32-byte cell: its text in bytes 0-23, NUL where
+    it has no character, and "," at byte 24."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)  # the others come from _FLOAT, below
+    e = np.floor(np.log10(a)).astype(np.intp)  # X, or one off near a power of ten
+    # a * 10**(16 - X) exactly, as high + low (Dekker 1971: numpy has no fused multiply-add)
+    high = a * _POW10[16 - e]
+    (ah, al), bh, bl = _halves(a), _POW10_HIGH[16 - e], _POW10_LOW[16 - e]
+    low = ((ah * bh - high) + ah * bl + al * bh) + al * bl
+    # high >= 2**53 is an integer, so N = high + low rounded half to even
+    whole = np.floor(low)
+    frac = low - whole
+    n = high.astype(np.int64) + whole.astype(np.int64)
+    n += (frac > 0.5) | (frac == 0.5) & (n & 1 == 1)
+    fast &= (n >= 10**16) & (n < 10**17)
+    n = np.where(fast, n, 10**16).astype(np.uint64)
+    cells = np.empty((4, len(x)), "<u8")
+    cells[3] = ord(",")
+    s = cells[:3]
+    s[0] = n // 10**16
+    n -= s[0] * 10**16
+    s[0] <<= 56
+    w = np.stack([n // 10**8, n % 10**8])
+    # eight digits a word, one a byte, by multiply-shift: 4-digit halves, pairs, digits
+    high = w // 10_000
+    w = high | (w - high * 10_000) << 32
+    high = (w * 10486) >> 20 & 0x7F0000007F
+    w = high | (w - high * 100) << 16
+    high = (w * 103) >> 10 & 0xF000F000F000F
+    s[1:] = high | (w - high * 10) << 8
+    # '0' is added through the last nonzero digit and the whole integer part;
+    # a word's last nonzero digit is its top nonzero byte, read from its exponent
+    last = (np.frexp(s[1:].astype(np.float64))[1] + 7) >> 3
+    kept = np.maximum(np.where(last[1] > 0, 9 + last[1], 1 + last[0]), e + 1)
+    s |= _KEPT.take(kept, axis=1)
+    moved = s >> 8
+    moved[:2] |= s[1:] << 56
+    s &= _STAYED.take(e + 5, axis=1)
+    s |= moved & _MOVED.take(e + 5, axis=1)
+    s |= _MARKS.take(e + 5 + 22 * (kept == e + 1), axis=1)
+    s[0] |= (x < 0) * np.uint64(ord("-"))
+    cells = np.ascontiguousarray(cells.T).view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [_FLOAT % v for v in x[slow].tolist()]
+        cells[slow, :24] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+    return cells
+
+
+def _format_floats(rows) -> str:
+    """An (R, C) float array as a row template of _FLOAT cells filled by %
+    writes it: "," between the values of a row, a newline between rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    r, c = rows.shape
+    step = max(1, _CHUNK // c)
+    parts = []
+    for start in range(0, r, step):
+        cells = _cells(rows[start:start + step].ravel()).reshape(-1, c, 32)
+        cells[:, -1, 24] = ord("\n")
+        parts.append(cells.tobytes().translate(None, b"\0"))
+    return b"".join(parts)[:-1].decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +189,7 @@ def write_video(video: GestureVideo, path) -> None:
     lines = [VIDEO_MAGIC, f"source_id={video.source_id}"]
     if video.label is not None:
         lines.append(f"label={video.label}")
-    # the whole body from one template: one % for the file rather than one a frame
-    body = "\n".join([_FRAME_ROW] * video.frame_count)
-    lines.append(body % tuple(video.frames.ravel().tolist()))
+    lines.append(_format_floats(video.frames.reshape(video.frame_count, -1)))
     _write_lines(path, lines)
 
 
@@ -163,17 +257,18 @@ def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:
 # Feature CSV (21 rows per video)
 
 
+# The lm column of a whole file: 1..21, once per video.
+_LM_CYCLE = [str(lm) for lm in range(1, LANDMARK_COUNT + 1)]
+
+
 def write_feature_csv(features: Sequence[FeatureMatrix], path) -> None:
+    rows = [feat.rows for feat in features]
+    values = iter(_format_floats(np.vstack(rows)).split("\n") if rows else ())
     lines = [FEATURE_CSV_HEADER]
     for feat in features:
         label = feat.label if feat.label is not None else ""
-        for lm, row in enumerate(feat.rows.tolist(), start=1):
-            lines.append(f"{lm},{_VARIANCE_ROW % tuple(row)},{feat.source_id},{label}")
+        lines += [f"{lm},{next(values)},{feat.source_id},{label}" for lm in _LM_CYCLE]
     _write_lines(path, lines)
-
-
-# The lm column of a whole file: 1..21, once per video.
-_LM_CYCLE = [str(lm) for lm in range(1, LANDMARK_COUNT + 1)]
 
 
 def read_feature_csv(path) -> list[FeatureMatrix]:
@@ -238,13 +333,18 @@ def export_plot_data(rows, files) -> None:
     same rows in each file, grouped by the `files[path]` entry for each row.
     The rows are formatted once for all the files."""
     x = as_rows(rows, 0, COORD_DIM)
-    files = {path: list(groups) for path, groups in files.items()}
+    files = {path: as_sequence(groups, "groups") for path, groups in files.items()}
     for groups in files.values():
         if len(groups) != x.shape[0]:
             raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
-    for group in set().union(*files.values()):
+    named = [group for groups in files.values() for group in groups]
+    try:
+        named = dict.fromkeys(named)  # each group once, in file and row order
+    except TypeError:  # an unhashable group: every row's is checked, to name it
+        pass
+    for group in named:
         check_names(group=group)
-    values = [_VARIANCE_ROW % tuple(row) for row in x.tolist()]
+    values = _format_floats(x).split("\n") if len(x) else []
     for path, groups in files.items():
         _write_lines(path, [PLOT_HEADER, *map("{},{}".format, values, groups)])
 

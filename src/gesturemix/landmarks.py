@@ -7,6 +7,7 @@ downstream model consumes.
 """
 
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,17 @@ def as_assignment(assignment, n: int) -> np.ndarray:
     if a.shape != (n,):
         raise DataError(f"one component index per row required, got shape {a.shape} for {n} rows")
     return a
+
+
+def as_sequence(value, field: str) -> tuple:
+    """A sequence of one entry per row or component as a tuple. A string, set
+    or mapping iterates, but not so, and is a DataError, as a non-iterable is."""
+    try:
+        if isinstance(value, (str, bytes, Set, Mapping)):
+            raise TypeError
+        return tuple(value)
+    except TypeError:
+        raise DataError(f"{field} must be a sequence, got {value!r}") from None
 
 
 def _as_floats(a, field: str, copy: bool) -> np.ndarray:

@@ -77,6 +77,14 @@ def population_variance(frames):
     return np.var(np.asarray(frames, dtype=np.float64), axis=0)
 
 
+def template_floats(rows):
+    """An (R, C) float array as the text writers made it with one "%.17g" row
+    template per row, joined by newlines and filled by a single %."""
+    rows = np.asarray(rows, dtype=np.float64)
+    r, c = rows.shape
+    return "\n".join([",".join(["%.17g"] * c)] * r) % tuple(rows.ravel().tolist())
+
+
 def tally_decision(posteriors, labels):
     """A video's decision counted by hand from its (rows, K) posteriors.
 

@@ -6,11 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import assert_no_child_left
+from oracles import template_floats
 from gesturemix import (
     ClusterLabelMap,
     DataError,
@@ -140,6 +141,49 @@ VIDEO_ERRORS = [
     pytest.param(SMALL_VIDEO_TEXT.encode() + b"\xff\xfe",
                  f"{{path}}: not UTF-8 text (byte {len(SMALL_VIDEO_TEXT)})", id="utf-8"),
 ]
+
+
+def raw_floats(seed, rows, cols):
+    """(rows, cols) float64 values from raw 64-bit patterns. Each is any
+    pattern at all, one whose exponent lies in or just around [1e-4, 1e16),
+    where the float kernel makes the digits itself, or a short decimal (an
+    integer, or one with trailing zeros to strip) by equal chance."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(rows, cols), dtype=np.uint64)
+    exponent = rng.integers(1005, 1080, size=(rows, cols), dtype=np.uint64) << np.uint64(52)
+    kind = rng.integers(0, 3, size=(rows, cols))
+    bits = np.where(kind == 1, bits & np.uint64(2**63 + 2**52 - 1) | exponent, bits)
+    short = rng.integers(-10**6, 10**6, size=(rows, cols)) / 10.0 ** rng.integers(0, 8, size=(rows, cols))
+    return np.where(kind == 2, short, bits.view(np.float64))
+
+
+# Values at the edges of the float kernel's fast range, of its rounding and of
+# its layout. The powers of ten's predecessors are where log10 rounds up.
+FLOAT_EDGES = [
+    1e-4, np.nextafter(1e-4, 0), 9999999999999998.0, 1e16, 2.0**53, 2.0**53 + 2,
+    0.1 + 0.2, 1 / 3, 0.5, 1.0, 123456789.125,
+    # exact ties at the 17th digit (N = ...2.5, ...7.5, ...12.5) go to the even neighbour
+    1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+    -0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf,
+    *[np.nextafter(10.0**k, 0) for k in range(-3, 17)],
+]
+
+
+class TestFloatText:
+    @pytest.mark.parametrize("value", FLOAT_EDGES, ids=repr)
+    def test_edge_value_is_written_as_the_template_writes_it(self, value):
+        for x in (value, -value):
+            assert gio._format_floats([[x]]) == "%.17g" % x
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(0, 3 * gio._CHUNK))
+    @example(0, 1, 0)  # no rows
+    @example(0, 1, gio._CHUNK + 1)  # one column over two chunks
+    @example(0, 63, 3 * gio._CHUNK)  # landmark rows over several chunks
+    def test_kernel_is_the_template(self, seed, cols, values):
+        rows = raw_floats(seed, values // cols, cols)
+        # compared row by row, so a failure names its first bad row quickly
+        assert gio._format_floats(rows).split("\n") == template_floats(rows).split("\n")
 
 
 class TestVideoFiles:
@@ -770,10 +814,15 @@ class TestPlotExport:
             export_plot_data(np.zeros((4, 3)), files)
         assert list(tmp_path.iterdir()) == []
 
-    def test_group_the_file_cannot_hold_rejected(self, tmp_path):
+    @pytest.mark.parametrize("groups, error", [
+        (["a,b", "x\ny"], "^group 'a,b' holds a comma or line break$"),
+        ("ab", "^groups must be a sequence, got 'ab'$"),
+        ([["a"], ["b"]], r"^group must be a string, got \['a'\]$"),
+    ], ids=["comma", "whole string", "unhashable"])
+    def test_group_the_file_cannot_hold_rejected(self, tmp_path, groups, error):
         # checked for every file before any is written
-        files = {tmp_path / "a.csv": ["a", "b"], tmp_path / "b.csv": ["a,b", "x\ny"]}
-        with pytest.raises(DataError, match="comma or line break"):
+        files = {tmp_path / "a.csv": ["a", "b"], tmp_path / "b.csv": groups}
+        with pytest.raises(DataError, match=error):
             export_plot_data(np.zeros((2, 3)), files)
         assert list(tmp_path.iterdir()) == []
 
