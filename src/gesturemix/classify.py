@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError
 from .gmm import MixtureParams, e_step
 from .landmarks import (FeatureMatrix, NormalizationStats, apply_normalization, as_assignment,
-                        as_sequence, check_names, check_numbers)
+                        as_sequence, check_each_name, check_numbers)
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class ClusterLabelMap:
             check_numbers(float, confidence=c)
             if not 0.0 <= c <= 1.0:
                 raise DataError("confidences must lie in [0, 1]")
-        for label in self.labels:
-            check_names(label=label)
+        check_each_name(self.labels, "label")
         object.__setattr__(self, "distinct_labels", tuple(sorted(set(self.labels))))
 
     @property
@@ -79,12 +78,7 @@ def build_label_map(assignment, row_labels: Sequence[str], k: int) -> ClusterLab
     assignment = as_assignment(assignment, len(row_labels))
     if not np.all((assignment >= 0) & (assignment < k)):
         raise DataError(f"assignment holds a component outside 0..{k - 1}")
-    try:
-        distinct = dict.fromkeys(row_labels)  # each distinct label, before any vote compares them
-    except TypeError:  # an unhashable label: look at every row to name it
-        distinct = row_labels
-    for label in distinct:
-        check_names(label=label)
+    check_each_name(row_labels, "label")  # before any vote compares them
     labels = []
     confidence = []
     for comp in range(k):

@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,16 +99,9 @@ def cmd_train(args) -> int:
     # every model file records a silhouette, which needs two clusters
     if args.k is not None and args.k < 2:
         raise UsageError("--k must be at least 2")
-    try:
-        # without --k the label count sets k once the input is read
-        config = EmConfig(
-            k=1 if args.k is None else args.k,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            reg_eps=args.reg_eps,
-            seed=args.seed,
-            covariance_mode=args.cov_mode,
-        )
+    settings = {f.name: getattr(args, f.name) for f in fields(EmConfig)}
+    try:  # without --k the label count sets k once the input is read
+        config = EmConfig(**{**settings, "k": 1 if args.k is None else args.k})
     except DataError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -249,7 +242,8 @@ def build_parser() -> _Parser:
     p_train.add_argument("--tol", type=float, default=EmConfig.tol)
     p_train.add_argument("--max-iters", type=int, default=EmConfig.max_iters)
     p_train.add_argument("--reg-eps", type=float, default=EmConfig.reg_eps)
-    p_train.add_argument("--cov-mode", choices=COVARIANCE_MODES, default=EmConfig.covariance_mode)
+    p_train.add_argument("--cov-mode", dest="covariance_mode", choices=COVARIANCE_MODES,
+                         default=EmConfig.covariance_mode)
     p_train.set_defaults(func=cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify videos with a trained model")

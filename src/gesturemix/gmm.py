@@ -142,14 +142,15 @@ def _inverse_lower(chol: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class EmConfig:
     """Fit configuration. `tol` is the absolute log-likelihood change that counts
-    as converged; `reg_eps` is the ridge added to every covariance diagonal."""
+    as converged; `reg_eps` is the ridge added to every covariance diagonal. A
+    model file's header starts with these fields, in order, each read by its type."""
 
     k: int
-    max_iters: int = 500
-    tol: float = 1e-6
-    reg_eps: float = 1e-6
-    seed: int = 0
     covariance_mode: str = "full"
+    seed: int = 0
+    tol: float = 1e-6
+    max_iters: int = 500
+    reg_eps: float = 1e-6
 
     def __post_init__(self):
         check_numbers(int, 1, k=self.k, max_iters=self.max_iters)
@@ -237,7 +238,7 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
     return resp.T
 
 
-def _m_step(xt, r, mass, reg_eps, covariance_mode, work) -> MixtureParams:
+def _m_step(xt, r, mass, config: EmConfig, work) -> MixtureParams:
     """Closed-form re-estimation from points as columns xt (d, N), responsibilities
     r (K, N) and their row sums `mass`, each at least EMPTY_COMPONENT_MASS (as
     `_Run._e_step` checks); `work` is the (K, d, N) pair of `_posteriors`."""
@@ -249,7 +250,7 @@ def _m_step(xt, r, mass, reg_eps, covariance_mode, work) -> MixtureParams:
     diff = np.subtract(xt, means[:, :, None], out=diff)  # (K, d, N)
     weighted = np.multiply(diff, r[:, None, :], out=weighted)
     covs = weighted @ diff.transpose(0, 2, 1) / mass[:, None, None]
-    covs = _restrict(covs, covariance_mode) + reg_eps * np.eye(d)
+    covs = _restrict(covs, config.covariance_mode) + config.reg_eps * np.eye(d)
     return MixtureParams(means=means, covs=covs, weights=weights)
 
 
@@ -259,10 +260,10 @@ def _restrict(covs: np.ndarray, covariance_mode: str) -> np.ndarray:
     return np.where(keep, covs, 0.0)
 
 
-def _global_cov(x: np.ndarray, reg_eps: float, covariance_mode: str) -> np.ndarray:
-    cov = _restrict(np.atleast_2d(np.cov(x.T, bias=True)), covariance_mode)
+def _global_cov(x: np.ndarray, config: EmConfig) -> np.ndarray:
+    cov = _restrict(np.atleast_2d(np.cov(x.T, bias=True)), config.covariance_mode)
     # starting covariances stay factorizable even with reg_eps=0 and flat data
-    return cov + max(reg_eps, 1e-12) * np.eye(x.shape[1])
+    return cov + max(config.reg_eps, 1e-12) * np.eye(x.shape[1])
 
 
 def _seed_means(x: np.ndarray, k: int, rng: "np.random.Generator") -> np.ndarray:
@@ -271,10 +272,9 @@ def _seed_means(x: np.ndarray, k: int, rng: "np.random.Generator") -> np.ndarray
     n = x.shape[0]
     means = np.empty((k, x.shape[1]))
     means[0] = x[rng.integers(n)]
+    dist_sq = np.full(n, np.inf)
     for i in range(1, k):
-        dist_sq = np.min(
-            np.sum((x[:, None, :] - means[None, :i, :]) ** 2, axis=2), axis=1
-        )
+        dist_sq = np.minimum(dist_sq, np.sum((x - means[i - 1]) ** 2, axis=1))
         total = dist_sq.sum()
         if total > 0:
             probs = dist_sq / total
@@ -288,7 +288,7 @@ def initialize(data, config: EmConfig) -> MixtureParams:
     """Seeded starting parameters: k-means++ means, global covariance, uniform weights."""
     x = as_rows(data, config.k)
     means = _seed_means(x, config.k, np.random.default_rng(config.seed))
-    cov = _global_cov(x, config.reg_eps, config.covariance_mode)
+    cov = _global_cov(x, config)
     covs = np.broadcast_to(cov, (config.k, *cov.shape))
     weights = np.full(config.k, 1.0 / config.k)
     return MixtureParams(means=means, covs=covs, weights=weights)
@@ -300,7 +300,7 @@ def _labelled_start(xt, labels, distinct, config: EmConfig, work) -> MixturePara
     (restricted, plus reg_eps I) of that label's rows, and their share as weight."""
     index = {label: j for j, label in enumerate(distinct)}
     hard = np.eye(config.k)[[index[label] for label in labels]].T  # (K, N)
-    return _m_step(xt, hard, hard.sum(axis=1), config.reg_eps, config.covariance_mode, work)
+    return _m_step(xt, hard, hard.sum(axis=1), config, work)
 
 
 class _Run:
@@ -333,11 +333,8 @@ class _Run:
         config, trace = self.config, self.trace
         lls = trace.log_likelihoods
         while not trace.converged and trace.n_iters < n_iters:
-            ll = self._e_step(_m_step(
-                self.xt, self.resp, self.mass, config.reg_eps, config.covariance_mode, self.work
-            ))
-            lls.append(ll)
-            trace.converged = abs(ll - lls[-2]) < config.tol
+            lls.append(self._e_step(_m_step(self.xt, self.resp, self.mass, config, self.work)))
+            trace.converged = abs(lls[-1] - lls[-2]) < config.tol
         return lls[-1]
 
 

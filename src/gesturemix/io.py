@@ -17,7 +17,7 @@ counted, or takes what float() takes and numpy refuses, such as 1_0.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -27,8 +27,8 @@ from .classify import ClusterLabelMap
 from .errors import DataError, ModelFormatError, NumericalError
 from .gmm import EmConfig, MixtureParams
 from .landmarks import (COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo,
-                        NormalizationStats, as_rows, as_sequence, check_names,
-                        check_numbers)
+                        NormalizationStats, as_rows, as_sequence, check_each_name,
+                        check_names, check_numbers)
 from .parallel import fan_out
 
 VIDEO_MAGIC = "gesture-landmarks v1"
@@ -337,13 +337,7 @@ def export_plot_data(rows, files) -> None:
     for groups in files.values():
         if len(groups) != x.shape[0]:
             raise DataError(f"{x.shape[0]} rows vs {len(groups)} group entries")
-    named = [group for groups in files.values() for group in groups]
-    try:
-        named = dict.fromkeys(named)  # each group once, in file and row order
-    except TypeError:  # an unhashable group: every row's is checked, to name it
-        pass
-    for group in named:
-        check_names(group=group)
+    check_each_name([group for groups in files.values() for group in groups], "group")
     values = _format_floats(x).split("\n") if len(x) else []
     for path, groups in files.items():
         _write_lines(path, [PLOT_HEADER, *map("{},{}".format, values, groups)])
@@ -384,14 +378,10 @@ def _floats(text: str) -> np.ndarray:
 _WRITERS = {float: _FLOAT.__mod__, _floats: lambda a: ",".join(map(_FLOAT.__mod__, np.ravel(a)))}
 
 # The model format, in file order: (key, its value in a ModelFile, parser).
-# The header keys come once, the component keys once per component.
+# The header keys come once, the component keys once per component; the
+# header starts with the fields of EmConfig, each parsed by its type.
 _HEADER_KEYS = (
-    ("k", lambda m: m.config.k, int),
-    ("covariance_mode", lambda m: m.config.covariance_mode, str),
-    ("seed", lambda m: m.config.seed, int),
-    ("tol", lambda m: m.config.tol, float),
-    ("max_iters", lambda m: m.config.max_iters, int),
-    ("reg_eps", lambda m: m.config.reg_eps, float),
+    *((f.name, lambda m, name=f.name: getattr(m.config, name), f.type) for f in fields(EmConfig)),
     ("iterations", lambda m: m.iterations, int),
     ("final_log_likelihood", lambda m: m.final_log_likelihood, float),
     ("silhouette", lambda m: m.silhouette, float),
@@ -449,10 +439,8 @@ def load_model(path) -> ModelFile:
         return values
 
     head = read(_HEADER_KEYS)
-    config = _checked(path, lambda: EmConfig(
-        k=head["k"], covariance_mode=head["covariance_mode"], seed=head["seed"],
-        tol=head["tol"], max_iters=head["max_iters"], reg_eps=head["reg_eps"],
-    ), "config")
+    config = _checked(path, lambda: EmConfig(**{f.name: head[f.name] for f in fields(EmConfig)}),
+                      "config")
 
     components = []
     for idx in range(config.k):

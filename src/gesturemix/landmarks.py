@@ -123,6 +123,17 @@ def check_names(**names: str) -> None:
             raise DataError(f"{field} {name!r} cannot be written as UTF-8") from None
 
 
+def check_each_name(names, field: str) -> None:
+    """check_names on each distinct entry of `names`, in order of first
+    appearance; when an entry cannot be hashed, on every entry, to name it."""
+    try:
+        names = dict.fromkeys(names)
+    except TypeError:
+        pass
+    for name in names:
+        check_names(**{field: name})
+
+
 @dataclass(frozen=True)
 class GestureVideo:
     """One recorded gesture: frames of shape (frame_count, 21, 3)."""

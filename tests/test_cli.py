@@ -424,7 +424,7 @@ class TestTrain:
         args = cli.build_parser().parse_args(["train", "--input", "data"])
         flags = EmConfig(
             k=1, max_iters=args.max_iters, tol=args.tol, reg_eps=args.reg_eps,
-            seed=args.seed, covariance_mode=args.cov_mode,
+            seed=args.seed, covariance_mode=args.covariance_mode,
         )
         assert flags == EmConfig(k=1)
 

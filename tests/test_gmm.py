@@ -204,7 +204,8 @@ def m_step(x, resp, reg_eps=1e-6, covariance_mode="full"):
     (K, d, N) work arrays as a fit passes them."""
     xt, r = np.ascontiguousarray(x.T), np.ascontiguousarray(resp.T)
     work = (np.empty(r.shape[:1] + xt.shape), np.empty(r.shape[:1] + xt.shape))
-    return gmm._m_step(xt, r, r.sum(axis=1), reg_eps, covariance_mode, work)
+    config = EmConfig(k=r.shape[0], reg_eps=reg_eps, covariance_mode=covariance_mode)
+    return gmm._m_step(xt, r, r.sum(axis=1), config, work)
 
 
 class TestMStep:
