@@ -1,6 +1,6 @@
 """Run the committed one-line mutants against a tree and record which test kills each.
 
-Usage: python experiments/mutants.py --label NAME [--tree DIR] [--workers N]
+Usage: python experiments/mutants.py --label NAME [--tree DIR]
 
 Each entry of experiments/mutants.txt (see its header) is applied to a fresh
 temporary copy of the tree. The entry's aimed test runs first, with -x; if
@@ -12,9 +12,8 @@ unmutated copy.
 
 The results go under NAME in experiments/MUTANTS.json; the other runs in that
 file are kept, so the table holds, say, a parent's run beside a change's.
-Mutants run one at a time unless --workers asks for more, up to the CPUs this
-process may use. Needs only the standard library (pytest and the tree's own
-dependencies run in the child processes).
+Mutants run one at a time. Needs only the standard library (pytest and the
+tree's own dependencies run in the child processes).
 """
 
 import argparse
@@ -28,7 +27,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -38,13 +36,6 @@ SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothes
                               "_work", "_traces", "_results")
 TIMEOUT_S = 1800
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def read_list(path: Path) -> list[dict]:
@@ -59,7 +50,6 @@ def read_list(path: Path) -> list[dict]:
             key, sep, value = line.partition(":")
             if not sep:
                 raise SystemExit(f"{path}: no `key:` on line {line!r}")
-            value = value[1:] if value.startswith(" ") else value
             if key == "old":
                 entry["edits"].append([value.strip(), None])
             elif key == "new":
@@ -159,24 +149,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in MUTANTS.json")
     parser.add_argument("--tree", type=Path, default=HERE.parent, help="tree to mutate")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
-    workers = max(1, min(args.workers, usable_cpus()))
     tree = args.tree.resolve()
     entries = read_list(HERE / "mutants.txt")
     check_aims(tree, entries)
     start = time.perf_counter()
-    with ThreadPoolExecutor(workers) as pool:
-        results = list(pool.map(lambda e: run_one(tree, e), entries))
+    results = [run_one(tree, e) for e in entries]
     counts = {s: sum(r["status"] == s for r in results) for s in ("killed", "survived", "stale")}
     out = HERE / "MUTANTS.json"
     table = json.loads(out.read_text()) if out.exists() else {}
-    table.setdefault("what", "experiments/mutants.py on experiments/mutants.txt: per run, each "
-                     "mutant's status, the test that killed it (the aimed test or Tier-1 with -x) "
-                     "and its seconds, one mutant at a time unless `workers` says otherwise")
+    table["what"] = ("experiments/mutants.py on experiments/mutants.txt: per run, each mutant's "
+                     "status, the test that killed it (the aimed test or Tier-1 with -x) and its "
+                     "seconds, one mutant at a time")
     table[args.label] = {
-        "python": platform.python_version(), "workers": workers,
-        "seconds": round(time.perf_counter() - start, 1), "counts": counts, "mutants": results,
+        "python": platform.python_version(), "seconds": round(time.perf_counter() - start, 1),
+        "counts": counts, "mutants": results,
     }
     out.write_text(json.dumps(table, indent=1) + "\n")
     print(counts, file=sys.stderr)

@@ -333,8 +333,9 @@ class _Run:
         config, trace = self.config, self.trace
         lls = trace.log_likelihoods
         while not trace.converged and trace.n_iters < n_iters:
-            lls.append(self._e_step(_m_step(self.xt, self.resp, self.mass, config, self.work)))
-            trace.converged = abs(lls[-1] - lls[-2]) < config.tol
+            ll = self._e_step(_m_step(self.xt, self.resp, self.mass, config, self.work))
+            lls.append(ll)
+            trace.converged = abs(ll - lls[-2]) < config.tol
         return lls[-1]
 
 

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import import_module
 from pathlib import Path
 
@@ -422,10 +422,7 @@ class TestTrain:
 
     def test_em_flag_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["train", "--input", "data"])
-        flags = EmConfig(
-            k=1, max_iters=args.max_iters, tol=args.tol, reg_eps=args.reg_eps,
-            seed=args.seed, covariance_mode=args.covariance_mode,
-        )
+        flags = EmConfig(**{**{f.name: getattr(args, f.name) for f in fields(EmConfig)}, "k": 1})
         assert flags == EmConfig(k=1)
 
     def test_synth_flag_defaults_are_the_generator_defaults(self):
