@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import build_label_map, classify_video
 from .errors import DataError, NumericalError
-from .gmm import COVARIANCE_MODES, EmConfig, e_step, fit
+from .gmm import EmConfig, e_step, fit
 from .io import (
     ModelFile,
     load_model,
@@ -242,8 +242,6 @@ def build_parser() -> _Parser:
     p_train.add_argument("--tol", type=float, default=EmConfig.tol)
     p_train.add_argument("--max-iters", type=int, default=EmConfig.max_iters)
     p_train.add_argument("--reg-eps", type=float, default=EmConfig.reg_eps)
-    p_train.add_argument("--cov-mode", dest="covariance_mode", choices=COVARIANCE_MODES,
-                         default=EmConfig.covariance_mode)
     p_train.set_defaults(func=cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify videos with a trained model")

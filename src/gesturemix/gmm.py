@@ -60,8 +60,6 @@ _STARTS = 4
 _SCREEN_ITERS = 30
 _SCREEN_MARGIN = 0.05
 
-COVARIANCE_MODES = ("full", "diag")
-
 
 @dataclass(frozen=True)
 class MixtureParams:
@@ -81,9 +79,7 @@ class MixtureParams:
     log_coefs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        means = _freeze(self.means, "means")
-        covs = _freeze(self.covs, "covs")
-        weights = _freeze(self.weights, "weights")
+        means, covs, weights = (_freeze(self, name) for name in ("means", "covs", "weights"))
         if means.ndim != 2 or means.shape[0] < 1:
             raise DataError(f"means must be a non-empty (K, d) array, got shape {means.shape}")
         k, d = means.shape
@@ -98,10 +94,12 @@ class MixtureParams:
         weight_sum = float(weights.sum())
         if abs(weight_sum - 1.0) > 1e-12:
             raise DataError(f"mixing weights sum to {weight_sum!r}, expected 1 within 1e-12")
-        asymmetric = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12
+        # rounding in the M-step's product grows with the entries, and so does the bound
+        scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
+        asymmetric = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale
         if asymmetric.any():
             bad = int(np.argmax(asymmetric))
-            raise NumericalError(f"component {bad} covariance is not symmetric within 1e-12")
+            raise NumericalError(f"component {bad} covariance is not symmetric within 1e-12 x scale")
         try:
             chol = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
@@ -117,8 +115,7 @@ class MixtureParams:
         log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         with np.errstate(divide="ignore"):  # zero weights are legal -> -inf
             log_coefs = np.log(weights) - 0.5 * (d * _LOG_2PI + log_dets)
-        for name, value in (("means", means), ("covs", covs), ("weights", weights),
-                            ("prec_chol", _inverse_lower(chol)), ("log_coefs", log_coefs)):
+        for name, value in (("prec_chol", _inverse_lower(chol)), ("log_coefs", log_coefs)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -146,7 +143,6 @@ class EmConfig:
     model file's header starts with these fields, in order, each read by its type."""
 
     k: int
-    covariance_mode: str = "full"
     seed: int = 0
     tol: float = 1e-6
     max_iters: int = 500
@@ -160,8 +156,6 @@ class EmConfig:
         if not 0 <= self.reg_eps < np.inf:
             raise DataError("reg_eps must be non-negative and finite")
         check_numbers(int, 0, seed=self.seed)  # numpy's generators take no negative seed
-        if self.covariance_mode not in COVARIANCE_MODES:
-            raise DataError(f"unknown covariance_mode {self.covariance_mode!r}")
 
 
 @dataclass
@@ -249,19 +243,12 @@ def _m_step(xt, r, mass, config: EmConfig, work) -> MixtureParams:
     diff, weighted = work
     diff = np.subtract(xt, means[:, :, None], out=diff)  # (K, d, N)
     weighted = np.multiply(diff, r[:, None, :], out=weighted)
-    covs = weighted @ diff.transpose(0, 2, 1) / mass[:, None, None]
-    covs = _restrict(covs, config.covariance_mode) + config.reg_eps * np.eye(d)
+    covs = weighted @ diff.transpose(0, 2, 1) / mass[:, None, None] + config.reg_eps * np.eye(d)
     return MixtureParams(means=means, covs=covs, weights=weights)
 
 
-def _restrict(covs: np.ndarray, covariance_mode: str) -> np.ndarray:
-    """Zero the off-diagonal covariance entries in "diag" mode; any other mode keeps all."""
-    keep = np.eye(covs.shape[-1], dtype=bool) | (covariance_mode != "diag")
-    return np.where(keep, covs, 0.0)
-
-
 def _global_cov(x: np.ndarray, config: EmConfig) -> np.ndarray:
-    cov = _restrict(np.atleast_2d(np.cov(x.T, bias=True)), config.covariance_mode)
+    cov = np.atleast_2d(np.cov(x.T, bias=True))
     # starting covariances stay factorizable even with reg_eps=0 and flat data
     return cov + max(config.reg_eps, 1e-12) * np.eye(x.shape[1])
 
@@ -297,7 +284,7 @@ def initialize(data, config: EmConfig) -> MixtureParams:
 def _labelled_start(xt, labels, distinct, config: EmConfig, work) -> MixtureParams:
     """Component j is the j-th distinct label in sorted order: the M-step of the
     labels as hard responsibilities gives it the mean and population covariance
-    (restricted, plus reg_eps I) of that label's rows, and their share as weight."""
+    (plus reg_eps I) of that label's rows, and their share as weight."""
     index = {label: j for j, label in enumerate(distinct)}
     hard = np.eye(config.k)[[index[label] for label in labels]].T  # (K, N)
     return _m_step(xt, hard, hard.sum(axis=1), config, work)

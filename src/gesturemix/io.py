@@ -4,9 +4,9 @@ Every file is UTF-8 text, written beside its target and renamed onto it, so a
 failed write leaves any previous file whole. Every float is written as "%.17g"
 writes it, so every round trip is bit-exact: rows of floats by one numpy kernel,
 `_format_floats`, which hands what it cannot do to "%.17g" itself, and the model
-file's few floats by "%.17g". A reader checks only the layout of its file; every range, shape and name rule is checked by the object
-it builds, and `_checked` adds the file and line (or model field) to that
-object's error.
+file's few floats by "%.17g". A reader checks only the layout of its file;
+every range, shape and name rule is checked by the object it builds, and
+`_checked` adds the file and line (or model field) to that object's error.
 
 Both body readers check and parse a whole body at once: a landmark body with
 numpy's C text reader, which makes float()'s correctly rounded conversion, a
@@ -32,7 +32,7 @@ from .landmarks import (COORD_DIM, LANDMARK_COUNT, FeatureMatrix, GestureVideo,
 from .parallel import fan_out
 
 VIDEO_MAGIC = "gesture-landmarks v1"
-MODEL_MAGIC = "gesture-gmm-model v2"
+MODEL_MAGIC = "gesture-gmm-model v3"
 FEATURE_CSV_HEADER = "lm,var_x,var_y,var_z,source_id,label"
 PLOT_HEADER = "var_x,var_y,var_z,group"
 MANIFEST_HEADER = "file,source_id,label"

@@ -88,10 +88,12 @@ def _as_floats(a, field: str, copy: bool) -> np.ndarray:
     return x.astype(np.float64, copy=copy)
 
 
-def _freeze(a, field: str) -> np.ndarray:
-    """`a` as a read-only float array of its own."""
-    out = _as_floats(a, field, copy=True)
+def _freeze(record, field: str) -> np.ndarray:
+    """Replace the frozen `record`'s `field` with a read-only float copy of its
+    own, and return the copy: what the record's checks then read is what it keeps."""
+    out = _as_floats(getattr(record, field), field, copy=True)
     out.setflags(write=False)
+    object.__setattr__(record, field, out)
     return out
 
 
@@ -146,7 +148,7 @@ class GestureVideo:
         check_names(source_id=self.source_id)
         if self.label is not None:  # the one name that may be absent
             check_names(label=self.label)
-        frames = _freeze(self.frames, "frames")
+        frames = _freeze(self, "frames")
         if frames.ndim != 3 or frames.shape[1:] != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
                 f"frames must have shape (F, {LANDMARK_COUNT}, {COORD_DIM}), "
@@ -156,7 +158,6 @@ class GestureVideo:
             raise DataError("a gesture video needs at least 2 frames")
         if not all_finite(frames):
             raise DataError(f"non-finite landmark coordinate in {self.source_id!r}")
-        object.__setattr__(self, "frames", frames)
 
     @property
     def frame_count(self) -> int:
@@ -176,7 +177,7 @@ class FeatureMatrix:
         check_names(source_id=self.source_id)
         if self.label is not None:  # the one name that may be absent
             check_names(label=self.label)
-        rows = _freeze(self.rows, "rows")
+        rows = _freeze(self, "rows")
         if rows.shape != (LANDMARK_COUNT, COORD_DIM):
             raise DataError(
                 f"feature matrix must be {LANDMARK_COUNT}x{COORD_DIM}, got {rows.shape}"
@@ -185,7 +186,6 @@ class FeatureMatrix:
             raise DataError(f"NaN or infinite feature value in {self.source_id!r}")
         if _any(rows < 0, axis=None):
             raise DataError(f"negative variance in {self.source_id!r}")
-        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -196,16 +196,13 @@ class NormalizationStats:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = _freeze(self.mean, "mean")
-        std = _freeze(self.std, "std")
+        mean, std = _freeze(self, "mean"), _freeze(self, "std")
         if mean.shape != (COORD_DIM,) or std.shape != (COORD_DIM,):
             raise DataError("normalization stats must hold 3 means and 3 stds")
         if not (all_finite(mean) and all_finite(std)):
             raise DataError("non-finite normalization stats")
         if _any(std <= 0, axis=None):
             raise DataError("normalization stds must be strictly positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
 
 
 def compute_variances(video: GestureVideo) -> FeatureMatrix:

@@ -66,13 +66,12 @@ class GestureProfile:
 
     def __post_init__(self):
         check_names(name=self.name)  # every video's label and part of its source id
-        amps = _freeze(self.axis_amplitudes, "axis_amplitudes")
+        amps = _freeze(self, "axis_amplitudes")
         if amps.shape != (COORD_DIM,) or not all_finite(amps) or np.any(amps < 0):
             raise DataError("axis_amplitudes must be 3 finite non-negative reals")
         check_numbers(float, noise_std=self.noise_std)
         if not (self.noise_std > 0 and all_finite(self.noise_std)):
             raise DataError("noise_std must be positive and finite")
-        object.__setattr__(self, "axis_amplitudes", amps)
 
 
 def default_profiles() -> tuple[GestureProfile, ...]:

@@ -71,6 +71,25 @@ def per_point_silhouette(data, assignment, block_rows=256):
     return per_point, clusters, per_cluster_mean
 
 
+def kmeans_plus_plus(x, k, rng):
+    """k-means++ seeding point by point: the first mean is a uniform draw, and
+    each next one is drawn with probability proportional to a point's squared
+    distance from the nearest mean chosen so far (uniformly when every distance
+    is 0). Makes the package's calls on `rng`: integers(n), then choice(n, p=...)."""
+    rows = np.asarray(x, dtype=np.float64).tolist()
+    n = len(rows)
+    chosen = [rows[rng.integers(n)]]
+    while len(chosen) < k:
+        dist_sq = [
+            min(sum((a - b) * (a - b) for a, b in zip(row, mean)) for mean in chosen)
+            for row in rows
+        ]
+        total = sum(dist_sq)
+        index = rng.choice(n, p=np.array(dist_sq) / total) if total > 0 else rng.integers(n)
+        chosen.append(rows[index])
+    return np.array(chosen)
+
+
 def population_variance(frames):
     """Per-landmark population variance of (F, 21, 3) frames as numpy defines
     it: np.var over the frame axis."""

@@ -98,6 +98,18 @@ def test_an_array_field_of_the_wrong_kind_is_a_data_error(valid, field, kind):
         type(valid)(**{**kwargs, field: bad})
 
 
+@pytest.mark.parametrize(("valid", "field"), ARRAY_FIELDS)
+def test_an_array_field_keeps_a_read_only_copy_of_its_own(valid, field):
+    kwargs = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
+    given = np.array(kwargs[field])  # the caller's, writable
+    record = type(valid)(**{**kwargs, field: given})
+    before = given.copy()
+    given.flat[0] += 1.0
+    assert np.array_equal(getattr(record, field), before)
+    with pytest.raises(ValueError):
+        getattr(record, field).flat[0] = 0.0
+
+
 @pytest.mark.parametrize("kind", WRONG_KINDS)
 def test_rows_of_the_wrong_kind_are_a_data_error(kind):
     bad = WRONG_KINDS[kind](np.ones((3, 3)))

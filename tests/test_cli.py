@@ -33,7 +33,6 @@ from gesturemix import (
     generate_dataset,
     silhouette,
 )
-from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.io import (ModelFile, load_model, read_video_dir, save_model, write_feature_csv,
                            write_video)
 from gesturemix.synth import AMP_LARGE, AMP_MID, AMP_SMALL, NOISE_STD, PROFILE_AMPLITUDES
@@ -431,16 +430,6 @@ class TestTrain:
         defaults = inspect.signature(generate_dataset).parameters
         for name in ("videos_per_profile", "frames", "seed"):
             assert getattr(args, name) == defaults[name].default
-
-    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
-    def test_every_covariance_mode_trains(self, tmp_path, capsys, mode):
-        make_corpus(tmp_path / "data", videos_per_profile=2, frames=20)
-        code, _, _ = run(
-            capsys, "train", "--input", str(tmp_path / "data"), "--output", str(tmp_path / "o"),
-            "--cov-mode", mode,
-        )
-        assert code == 0
-        assert f"covariance_mode={mode}" in (tmp_path / "o" / "model.gmm").read_text()
 
     def test_repeated_source_id_rejected_in_videos(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -28,7 +28,6 @@ from gesturemix import (
 )
 from gesturemix import cli
 from gesturemix import io as gio
-from gesturemix.gmm import COVARIANCE_MODES
 from gesturemix.landmarks import _NAME_BREAKERS
 from gesturemix.io import (
     FEATURE_CSV_HEADER,
@@ -74,9 +73,8 @@ SMALL_MODEL = ModelFile(
     silhouette=0.625,
 )
 SMALL_MODEL_TEXT = """\
-gesture-gmm-model v2
+gesture-gmm-model v3
 k=2
-covariance_mode=full
 seed=0
 tol=9.9999999999999995e-07
 max_iters=500
@@ -338,10 +336,11 @@ def model_text(old, new):
 # Each malformed model file, the exact error load_model raises for it and the
 # field that error names.
 MODEL_ERRORS = [
-    pytest.param(SMALL_MODEL_TEXT.replace(" v2\n", " v1\n"),
-                 "{path}: missing or unsupported version header (want 'gesture-gmm-model v2') "
+    # a v2 file: its settings rows held covariance_mode, which v3 dropped
+    pytest.param(SMALL_MODEL_TEXT.replace(" v3\nk=2\n", " v2\nk=2\ncovariance_mode=full\n"),
+                 "{path}: missing or unsupported version header (want 'gesture-gmm-model v3') "
                  "(field: version)", "version", id="version"),
-    pytest.param("\n".join(SMALL_MODEL_TEXT.splitlines()[:12]) + "\n",
+    pytest.param("\n".join(SMALL_MODEL_TEXT.splitlines()[:11]) + "\n",
                  "{path}: file ends before 'weights' (field: weights)", "weights", id="truncated"),
     pytest.param(SMALL_MODEL_TEXT.encode() + b"\xff\xfe",
                  f"{{path}}: not UTF-8 text (byte {len(SMALL_MODEL_TEXT)})", None, id="utf-8"),
@@ -428,7 +427,6 @@ def model_files(draw):
         tol=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         reg_eps=draw(st.floats(min_value=0.0, allow_infinity=False)),
         seed=draw(st.integers(0, 2**70)),
-        covariance_mode=draw(st.sampled_from(COVARIANCE_MODES)),
     )
     vectors = st.lists(finite, min_size=3, max_size=3)
     factors = np.array(draw(st.lists(
